@@ -325,9 +325,10 @@ def build_parser():
     p.add_argument("--eta", type=float, default=1.1,
                    help="backtracking factor (pmlsv)")
     p.add_argument("--proj-tol", type=float, default=1e-6,
-                   help="feasibility projection tolerance (pg/apg); a box point "
-                        "already inside the nuclear ball closes with gap 0 at any "
-                        "tolerance, so --proj-max-iter is what bounds the work")
+                   help="feasibility projection tolerance (pg/apg); gaps at or "
+                        "below the float64 noise floor 4*sqrt(d1*d2)*eps*||M||_F "
+                        "also close, so a smaller value changes nothing, and a box "
+                        "point already inside the nuclear ball closes with gap 0")
     p.add_argument("--proj-max-iter", type=int, default=500,
                    help="feasibility projection iteration cap (pg/apg)")
     p.add_argument("--seed", type=int, default=0)

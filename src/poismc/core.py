@@ -16,6 +16,7 @@ from .errors import (
     BadRank,
     BadShape,
     ShapeMismatch,
+    SvdFailure,
 )
 
 # Absolute slack for set-membership checks; double-precision SVD accuracy.
@@ -147,9 +148,17 @@ def as_matrix(x, shape=None):
     return a
 
 
+def _svd(x, compute_uv=True):
+    """Thin SVD that raises ``SvdFailure`` where LAPACK does not converge."""
+    try:
+        return np.linalg.svd(x, full_matrices=False, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise SvdFailure(f"SVD did not converge: {exc}") from exc
+
+
 def nuclear_norm(x):
-    """Sum of singular values."""
-    return float(np.linalg.svd(as_matrix(x), compute_uv=False).sum())
+    """Sum of singular values, from an SVD without singular vectors."""
+    return float(_svd(as_matrix(x), compute_uv=False).sum())
 
 
 def mse_per_entry(a, b):

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, validate_region
+from .core import _svd, as_matrix, validate_region
 from .errors import BacktrackOverflow, NoConvergence, ProjectionFailure, ShapeMismatch
 from .likelihood import gradient, lipschitz_constant, neg_log_likelihood
-from .projections import _svd, alternating_projection, project_box
+from .projections import alternating_projection, project_box
 
 ALGORITHMS = ("pg", "apg", "pmlsv")
 
@@ -35,8 +35,9 @@ class SolverConfig:
 
     ``lam``, ``l0`` and ``eta`` only drive ``pmlsv``; ``pg``/``apg`` use
     the fixed reciprocal step ``alpha/beta**2``. ``proj_tol`` bounds the
-    feasibility gap of the alternating projection, ``seed`` is carried
-    as reproducibility metadata.
+    feasibility gap of the alternating projection; gaps at or below the
+    float64 noise floor ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
+    ``seed`` is carried as reproducibility metadata.
     """
 
     algorithm: str = "pmlsv"
@@ -217,6 +218,7 @@ def solve_pmlsv(obs, region, cfg):
     t_start = time.perf_counter()
     l = cfg.l0
     m = init_matrix(obs, region)
+    f_prev = neg_log_likelihood(m, obs)
     q_exit = 0.5 / cfg.max_iter
     trace = []
     gaps = []
@@ -224,7 +226,6 @@ def solve_pmlsv(obs, region, cfg):
     k_run = 0
     for k in range(1, cfg.max_iter + 1):
         g = gradient(m, obs)
-        f_prev = neg_log_likelihood(m, obs)
         while True:
             c = m - g / l
             u, s, vt = _svd(c)
@@ -240,7 +241,7 @@ def solve_pmlsv(obs, region, cfg):
                     )
                 continue
             break
-        m = m_next
+        m, f_prev = m_next, f_next
         trace.append(f_next)
         gaps.append(f_next - q)
         k_run = k

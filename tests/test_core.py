@@ -15,6 +15,7 @@ from poismc.errors import (
     BadRank,
     BadShape,
     ShapeMismatch,
+    SvdFailure,
 )
 
 
@@ -139,6 +140,15 @@ def test_membership_rank_one_just_above_radius():
     assert nuclear_norm(x) == pytest.approx(sigma, rel=1e-12)
     assert not membership(x, reg).in_nuclear_ball
     assert membership(sigma * 0.99 * (u @ v.T), reg).in_nuclear_ball
+
+
+def test_nan_matrix_raises_svd_failure():
+    reg = region(d1=3, d2=3)
+    x = np.full((3, 3), np.nan)
+    with pytest.raises(SvdFailure):
+        nuclear_norm(x)
+    with pytest.raises(SvdFailure):
+        membership(x, reg)
 
 
 def test_membership_monotone_in_tol():

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismc import (
     FeasibleRegion,
     alternating_projection,
+    init_matrix,
     membership,
     nuclear_norm,
     project_box,
@@ -12,6 +15,8 @@ from poismc import (
 )
 from poismc.errors import BadRadius, BadTau, NoConvergence
 from poismc.projections import numerical_rank
+
+from test_solvers import binding_instance, hadamard
 
 
 def region(d1=3, d2=3, alpha=3.0, beta=1.0, r=2):
@@ -253,6 +258,98 @@ def test_altproj_no_convergence_carries_report():
     assert rep.iterations == 1
     assert rep.final_gap > 1e-15
     assert membership(rep.result, reg).in_box
+
+
+def altproj_reference(u0, reg, tol, max_iter):
+    """Plain ball-then-box loop: a full SVD on every sweep, same closing rule."""
+    u = np.asarray(u0, dtype=float)
+    noise = 4.0 * np.sqrt(u.size) * np.finfo(float).eps
+    gap = np.inf
+    for j in range(1, max_iter + 1):
+        v = project_nuclear_ball(u, reg.nuclear_radius)
+        u = project_box(v, reg)
+        gap = float(np.linalg.norm(v - u))
+        if gap <= max(tol, noise * np.linalg.norm(u)):
+            return u, j, gap, True
+    return u, max_iter, gap, False
+
+
+@st.composite
+def altproj_cases(draw):
+    d1, d2 = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    beta = draw(st.floats(0.05, 2.0))
+    alpha = beta + draw(st.floats(0.0, 5.0))
+    r = draw(st.integers(1, min(d1, d2, 3)))
+    reg = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r)
+    n = d1 * d2
+    kind = draw(st.sampled_from(["corners", "scaled", "uniform"]))
+    if kind == "uniform":
+        u0 = np.array(draw(st.lists(st.floats(-20.0, 20.0), min_size=n,
+                                    max_size=n))).reshape(d1, d2)
+    else:
+        # Hadamard rows with some signs flipped. On the box corners the
+        # pattern has high rank, so the ball binds sweep after sweep; scaled
+        # far outside the box, the ball binds once and the clip lands inside.
+        flips = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                       min_size=n, max_size=n)))
+        pattern = hadamard(2 * max(d1, d2))[:d1, :d2] * flips.reshape(d1, d2)
+        if kind == "corners":
+            u0 = np.where(pattern > 0, alpha, beta)
+        else:
+            u0 = (alpha + beta) / 2 + draw(st.floats(0.5, 50.0)) * pattern
+    tol = draw(st.sampled_from([1e-300, 1e-12, 1e-6, 1e-2]))
+    max_iter = draw(st.sampled_from([1, 2, 5, 50]))
+    return u0, reg, tol, max_iter
+
+
+@settings(max_examples=300, deadline=None)
+@given(altproj_cases())
+def test_altproj_bit_equal_to_full_svd_loop(case):
+    u0, reg, tol, max_iter = case
+    want, iters, gap, closed = altproj_reference(u0, reg, tol, max_iter)
+    if closed:
+        rep = alternating_projection(u0, reg, tol=tol, max_iter=max_iter)
+    else:
+        with pytest.raises(NoConvergence) as excinfo:
+            alternating_projection(u0, reg, tol=tol, max_iter=max_iter)
+        rep = excinfo.value.report
+    assert np.array_equal(rep.result, want)
+    assert rep.iterations == iters
+    assert rep.final_gap == gap
+
+
+def count_svds(monkeypatch):
+    counts = {"full": 0, "values": 0}
+    svd = np.linalg.svd
+
+    def counted(x, full_matrices=True, compute_uv=True, **kw):
+        counts["full" if compute_uv else "values"] += 1
+        return svd(x, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return counts
+
+
+def test_altproj_clip_inside_ball_skips_full_svd(monkeypatch):
+    # The ball binds on the start; its clip, all 3.0, lies well inside it.
+    reg = region(d1=3, d2=3, alpha=3.0, beta=1.0, r=3)
+    counts = count_svds(monkeypatch)
+    rep = alternating_projection(np.full((3, 3), 6.0), reg)
+    assert counts == {"full": 1, "values": 1}
+    assert rep.iterations == 2
+    assert rep.final_gap == 0.0
+    assert np.array_equal(rep.result, np.full((3, 3), 3.0))
+
+
+def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
+    # The ball binds on every sweep, so after the second sweep's test
+    # fails no further values-only SVD is spent.
+    obs, reg = binding_instance(0)
+    u0 = init_matrix(obs, reg)
+    counts = count_svds(monkeypatch)
+    rep = alternating_projection(u0, reg, tol=1e-6)
+    assert rep.iterations > 3
+    assert counts == {"full": rep.iterations, "values": 1}
 
 
 def test_numerical_rank():

@@ -281,6 +281,17 @@ def test_projection_failure_carries_partial_report():
     assert rep.iterations_run == 0
 
 
+def test_tiny_proj_tol_closes_on_rounding_noise():
+    # With no noise floor one projection call spins all 500 sweeps on a
+    # gap of about 7e-14 (call 15 on seed 2, call 56 on seed 4).
+    for seed in (2, 4):
+        obs, reg = binding_instance(seed)
+        cfg = SolverConfig(algorithm="pg", max_iter=60, proj_tol=1e-300)
+        rep = solve(obs, reg, cfg)
+        assert rep.termination == "MaxIter"
+        assert rep.iterations_run == 60
+
+
 # --- report and dispatch --------------------------------------------------------------
 
 
