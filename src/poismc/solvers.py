@@ -6,8 +6,12 @@ Three schemes, all starting from the count-seeded initializer:
   feasibility via alternating projection onto box-and-ball;
 * ``apg``    the same step with Nesterov momentum (k-1)/(k+2);
 * ``pmlsv``  nuclear-norm regularized singular-value shrinkage with
-  box projection and multiplicative backtracking on the reciprocal
-  step size.
+  box projection and backtracking on the reciprocal step size L over
+  the ladder ``L, L*eta, L*eta**2, ...``. The accepted rung is found by
+  galloping (rungs 1, 2, 4, ...) and bisection, clamped at the first
+  rung at or above the Lipschitz constant; from there, where every
+  step is majorized in exact arithmetic and a rejection is rounding
+  noise, the rungs are stepped one at a time.
 
 Objective values are recorded after the projection of each iteration,
 so the trace length equals the number of iterations run.
@@ -25,7 +29,10 @@ from .projections import alternating_projection, project_box
 
 ALGORITHMS = ("pg", "apg", "pmlsv")
 
-# Backtracking gives up once the reciprocal step size passes this.
+# Backtracking gives up once the reciprocal step size passes this. The
+# gallop over the ladder of rungs never probes past the last rung at or
+# below the cap; only the one-rung-at-a-time scan above the top rung can
+# step past it, and that raises BacktrackOverflow.
 BACKTRACK_L_CAP = 1e15
 
 
@@ -95,6 +102,7 @@ class SolverReport:
             "wall_time_sec": self.wall_time,
             "objective_trace": [float(v) for v in self.objective_trace],
             "final_l": self.final_l,
+            "box_active_fraction": self.box_active_fraction,
         }
 
 
@@ -126,12 +134,13 @@ def quadratic_model(m, m_prev, t, obs):
         raise ValueError(f"t must be > 0, got {t}")
     m = as_matrix(m)
     m_prev = as_matrix(m_prev, shape=m.shape)
-    diff = m - m_prev
-    return (
-        neg_log_likelihood(m_prev, obs)
-        + float(np.vdot(diff, gradient(m_prev, obs)))
-        + 0.5 * t * float(np.vdot(diff, diff))
+    return _model_value(
+        neg_log_likelihood(m_prev, obs), gradient(m_prev, obs), m - m_prev, t
     )
+
+
+def _model_value(f_prev, g, diff, t):
+    return f_prev + float(np.vdot(diff, g)) + 0.5 * t * float(np.vdot(diff, diff))
 
 
 def _box_active_fraction(x, region):
@@ -203,19 +212,85 @@ def solve_apg(obs, region, cfg):
     return _finish("apg", m_prev, trace, cfg.max_iter, "MaxIter", t_start, lip, region)
 
 
+def _shrink_trial(l, m, g, f_prev, lam, region, obs):
+    """One pmlsv trial at reciprocal step size ``l``: ``(m_next, f_next, q)``.
+
+    The step is rejected when ``f_next > q``, the quadratic model's value.
+    """
+    u, s, vt = _svd(m - g / l)
+    m_next = project_box((u * np.maximum(s - lam / l, 0.0)) @ vt, region)
+    q = _model_value(f_prev, g, m_next - m, l)
+    return m_next, neg_log_likelihood(m_next, obs), q
+
+
+def _climb(l, steps, eta, lip):
+    """Go up to ``steps`` rungs above ``l``, stopping at the top rung.
+
+    Rungs are made by repeated ``*= eta``, as the one-at-a-time scan
+    makes them, so each equals the scan's value bit for bit. The top rung
+    is the first at or above ``lip``, or the last at or below
+    ``BACKTRACK_L_CAP`` if that comes first. Returns the number of rungs
+    climbed and the rung reached.
+    """
+    n = 0
+    while n < steps and l < lip and l * eta <= BACKTRACK_L_CAP:
+        l *= eta
+        n += 1
+    return n, l
+
+
+def _backtrack(l, ctx, eta, lip):
+    """First accepted rung of ``l, l*eta, l*eta**2, ...``: ``(l, trial)``.
+
+    ``ctx`` holds the arguments of ``_shrink_trial`` after ``l``. Probes
+    rung 0, then gallops through rungs 1, 2, 4, ... up to the top rung
+    (see ``_climb``) and bisects between the last rejected and the first
+    accepted probe, so no trial runs twice. That is the rung the
+    one-at-a-time scan finds whenever acceptance is monotone below the
+    top rung. At or above ``lip`` every step is majorized in exact
+    arithmetic, so a rejection there is rounding noise and acceptance
+    need not be monotone: once the top rung rejects, the rungs above it
+    are probed one at a time, and past ``BACKTRACK_L_CAP`` that raises
+    ``BacktrackOverflow``.
+    """
+    trial = _shrink_trial(l, *ctx)
+    if not trial[1] > trial[2]:
+        return l, trial
+    lo, l_lo, hi = 0, l, None
+    while hi is None or hi - lo > 1:
+        steps = max(lo, 1) if hi is None else (hi - lo) // 2
+        n, l_try = _climb(l_lo, steps, eta, lip)
+        if n == 0:  # rung lo is at or above the top rung and rejected
+            n, l_try = 1, l_lo * eta
+            if l_try > BACKTRACK_L_CAP:
+                raise BacktrackOverflow(
+                    f"reciprocal step size exceeded {BACKTRACK_L_CAP:.0e}"
+                )
+        probe = _shrink_trial(l_try, *ctx)
+        if probe[1] > probe[2]:
+            lo, l_lo = lo + n, l_try
+        else:
+            hi, l, trial = lo + n, l_try, probe
+    return l, trial
+
+
 def solve_pmlsv(obs, region, cfg):
     """Regularized singular-value shrinkage with backtracking.
 
     Each iteration takes a gradient step at reciprocal step size L,
     shrinks singular values by ``lam / L``, projects onto the box, and
-    raises L by ``eta`` until the step is majorized by the quadratic
-    model. Terminates early once ``|f - Q| < 0.5 / max_iter``.
+    accepts the first rung of ``L, L*eta, L*eta**2, ...`` whose step is
+    majorized by the quadratic model (``_backtrack``: gallop and
+    bisection below the Lipschitz rung, one rung at a time above it).
+    The accepted L carries over to the next iteration. Terminates early
+    once ``|f - Q| < 0.5 / max_iter``.
     """
     cfg.validate()
     validate_region(region)
     if len(obs) == 0:
         raise ValueError("need at least one observation")
     t_start = time.perf_counter()
+    lip = lipschitz_constant(region)
     l = cfg.l0
     m = init_matrix(obs, region)
     f_prev = neg_log_likelihood(m, obs)
@@ -226,26 +301,12 @@ def solve_pmlsv(obs, region, cfg):
     k_run = 0
     for k in range(1, cfg.max_iter + 1):
         g = gradient(m, obs)
-        while True:
-            c = m - g / l
-            u, s, vt = _svd(c)
-            m_next = project_box((u * np.maximum(s - cfg.lam / l, 0.0)) @ vt, region)
-            diff = m_next - m
-            q = f_prev + float(np.vdot(diff, g)) + 0.5 * l * float(np.vdot(diff, diff))
-            f_next = neg_log_likelihood(m_next, obs)
-            if f_next > q:
-                l *= cfg.eta
-                if l > BACKTRACK_L_CAP:
-                    raise BacktrackOverflow(
-                        f"reciprocal step size exceeded {BACKTRACK_L_CAP:.0e}"
-                    )
-                continue
-            break
-        m, f_prev = m_next, f_next
-        trace.append(f_next)
-        gaps.append(f_next - q)
+        ctx = (m, g, f_prev, cfg.lam, region, obs)
+        l, (m, f_prev, q) = _backtrack(l, ctx, cfg.eta, lip)
+        trace.append(f_prev)
+        gaps.append(f_prev - q)
         k_run = k
-        if abs(f_next - q) < q_exit:
+        if abs(f_prev - q) < q_exit:
             termination = "QGapSmall"
             break
     return _finish(

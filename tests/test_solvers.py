@@ -1,5 +1,10 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poismc.solvers as solvers_mod
 from poismc import (
@@ -7,6 +12,7 @@ from poismc import (
     ObservationSet,
     SolverConfig,
     SynthesisSpec,
+    gradient,
     init_matrix,
     lipschitz_constant,
     make_low_rank,
@@ -14,6 +20,7 @@ from poismc import (
     mse_per_entry,
     neg_log_likelihood,
     nuclear_norm,
+    project_box,
     quadratic_model,
     sample_mask,
     sample_poisson,
@@ -232,13 +239,57 @@ def test_pmlsv_zero_lambda_matches_pg_on_1x1():
     assert np.allclose(pm.objective_trace, pg.objective_trace[:n], atol=0, rtol=0)
 
 
-def test_pmlsv_backtracking_raises_l_and_keeps_majorization():
+def backtracking_instance():
     rng = np.random.default_rng(9)
     truth = rng.uniform(1.0, 9.0, (12, 10))
     reg = FeasibleRegion(d1=12, d2=10, alpha=9.0, beta=1.0, r=3)
     mask = sample_mask(12, 10, 0.7 * 120, seed=9)
     obs = sample_poisson(truth, mask, seed=9)
     cfg = SolverConfig(algorithm="pmlsv", max_iter=50, lam=0.1, l0=1e-6, eta=1.2)
+    return obs, reg, cfg
+
+
+def linear_scan_pmlsv(obs, reg, cfg):
+    """Plain pmlsv that raises L by one factor eta per rejected trial.
+
+    Returns the report fields ``solve_pmlsv`` must reproduce, plus the
+    number of trials of each iteration.
+    """
+    l = cfg.l0
+    m = init_matrix(obs, reg)
+    f_prev = neg_log_likelihood(m, obs)
+    trace, gaps, trials = [], [], []
+    termination, k_run = "MaxIter", 0
+    for k in range(1, cfg.max_iter + 1):
+        g = gradient(m, obs)
+        trials.append(0)
+        while True:
+            trials[-1] += 1
+            u, s, vt = np.linalg.svd(m - g / l, full_matrices=False)
+            m_next = project_box((u * np.maximum(s - cfg.lam / l, 0.0)) @ vt, reg)
+            diff = m_next - m
+            q = f_prev + float(np.vdot(diff, g)) + 0.5 * l * float(np.vdot(diff, diff))
+            f_next = neg_log_likelihood(m_next, obs)
+            if f_next > q:
+                l *= cfg.eta
+                if l > solvers_mod.BACKTRACK_L_CAP:
+                    raise BacktrackOverflow("reference scan overflowed")
+                continue
+            break
+        m, f_prev = m_next, f_next
+        trace.append(f_next)
+        gaps.append(f_next - q)
+        k_run = k
+        if abs(f_next - q) < 0.5 / cfg.max_iter:
+            termination = "QGapSmall"
+            break
+    return dict(estimate=m, objective_trace=np.asarray(trace),
+                majorization_gaps=np.asarray(gaps), final_l=l,
+                iterations_run=k_run, termination=termination, trials=trials)
+
+
+def test_pmlsv_backtracking_raises_l_and_keeps_majorization():
+    obs, reg, cfg = backtracking_instance()
     rep = solve_pmlsv(obs, reg, cfg)
     assert rep.final_l > cfg.l0
     assert rep.majorization_gaps is not None
@@ -253,6 +304,85 @@ def test_pmlsv_early_exit_on_small_model_gap():
     )
     assert rep.termination == "QGapSmall"
     assert rep.iterations_run < 2000
+
+
+@st.composite
+def pmlsv_cases(draw):
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    beta = draw(st.floats(0.1, 3.0))
+    alpha = beta * draw(st.floats(1.1, 10.0))
+    reg = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta,
+                         r=draw(st.integers(1, min(d1, d2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((d1, d2)) < draw(st.floats(0.2, 1.0))
+    mask.flat[rng.integers(d1 * d2)] = True
+    rows, cols = np.nonzero(mask)
+    counts = rng.poisson(rng.uniform(beta, alpha, rows.size))
+    obs = ObservationSet(d1=d1, d2=d2, rows=rows, cols=cols, counts=counts)
+    cfg = SolverConfig(
+        algorithm="pmlsv",
+        max_iter=draw(st.integers(1, 40)),
+        lam=10.0 ** draw(st.floats(-3.0, 2.0)),
+        l0=10.0 ** draw(st.floats(-8.0, 1.0)),
+        eta=draw(st.floats(1.01, 3.0)),
+    )
+    return obs, reg, cfg
+
+
+@settings(max_examples=150, deadline=None)
+@given(pmlsv_cases())
+def test_pmlsv_matches_linear_scan(case):
+    obs, reg, cfg = case
+    want = linear_scan_pmlsv(obs, reg, cfg)
+    rep = solve_pmlsv(obs, reg, cfg)
+    for key in ("estimate", "objective_trace", "majorization_gaps"):
+        assert np.array_equal(getattr(rep, key), want[key]), key
+    assert rep.final_l == want["final_l"]
+    assert rep.iterations_run == want["iterations_run"]
+    assert rep.termination == want["termination"]
+
+
+def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
+    obs, reg, cfg = backtracking_instance()
+    cfg = dataclasses.replace(cfg, max_iter=1)
+    k = linear_scan_pmlsv(obs, reg, cfg)["trials"][0] - 1
+    assert k >= 16
+    svd_calls = []
+    real_svd = solvers_mod._svd
+    monkeypatch.setattr(
+        solvers_mod, "_svd", lambda x: svd_calls.append(1) or real_svd(x)
+    )
+    solve_pmlsv(obs, reg, cfg)
+    assert len(svd_calls) <= 2 * math.ceil(math.log2(k + 1)) + 1
+
+
+def test_pmlsv_steps_one_rung_at_a_time_above_the_top_rung(monkeypatch):
+    obs, reg, cfg = backtracking_instance()
+    lip = lipschitz_constant(reg)
+    real_nll = solvers_mod.neg_log_likelihood
+    nll_calls = []
+
+    def rejecting_nll(x, obs):  # the first call is the starting point's f
+        nll_calls.append(1)
+        return real_nll(x, obs) + (0.0 if len(nll_calls) == 1 else 1e30)
+
+    probes = []
+    real_trial = solvers_mod._shrink_trial
+
+    def recording_trial(l, *ctx):
+        probes.append(l)
+        return real_trial(l, *ctx)
+
+    monkeypatch.setattr(solvers_mod, "neg_log_likelihood", rejecting_nll)
+    monkeypatch.setattr(solvers_mod, "_shrink_trial", recording_trial)
+    with pytest.raises(BacktrackOverflow):
+        solve_pmlsv(obs, reg, cfg)
+    ladder = [cfg.l0]
+    while ladder[-1] * cfg.eta <= solvers_mod.BACKTRACK_L_CAP:
+        ladder.append(ladder[-1] * cfg.eta)
+    top = next(i for i, l in enumerate(ladder) if l >= lip)
+    gallop = [ladder[2**j] for j in range(top.bit_length()) if 2**j < top]
+    assert probes == [ladder[0]] + gallop + ladder[top:]
 
 
 def test_pmlsv_backtrack_overflow(monkeypatch):
@@ -301,6 +431,7 @@ def test_report_json_schema():
     d = rep.to_json_dict()
     assert sorted(d) == [
         "algorithm",
+        "box_active_fraction",
         "final_l",
         "iterations_run",
         "objective_trace",
