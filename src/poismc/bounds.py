@@ -13,8 +13,7 @@ metadata strings, not computed.
 import math
 from dataclasses import dataclass, field
 
-from .core import validate_region
-from .errors import InvalidRegime, NonPositiveParameter, PoismcError
+from .errors import InvalidRegime, NonPositiveParameter
 
 E_SQ_MINUS_2 = math.e**2 - 2.0
 E_SQ_MINUS_3 = math.e**2 - 3.0
@@ -26,14 +25,14 @@ def _default_c_prime():
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Absolute constants; defaults are the proof-supported values."""
+    """Absolute constants, each > 0; defaults are the proof-supported values."""
 
     c_prime: float = field(default_factory=_default_c_prime)
     c1: float = 1.0 / 256.0
     c2: float = 1.0 / 4096.0
     c0: float = 33.0
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("c_prime", "c1", "c2", "c0"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
@@ -74,17 +73,6 @@ class BoundReport:
         }
 
 
-def _region_problems(region, m):
-    problems = []
-    try:
-        validate_region(region)
-    except PoismcError as exc:
-        problems.append(f"invalid region: {exc}")
-    if not m > 0:
-        problems.append(f"m must be > 0, got {m}")
-    return problems
-
-
 def upper_bound(region, m, constants=None):
     """High-probability upper bound on the per-entry MSE of the estimator.
 
@@ -94,14 +82,12 @@ def upper_bound(region, m, constants=None):
     Natural logarithms throughout.
     """
     k = constants if constants is not None else BoundConstants()
-    k.validate()
-    problems = _region_problems(region, m)
-    if problems:
+    if not m > 0:
         return BoundReport(
             value=float("nan"),
             regime="none",
             valid=False,
-            reason="; ".join(problems),
+            reason=f"m must be > 0, got {m}",
             constants=k,
             probability="exceeds 1 - C/(d1*d2)",
         )
@@ -150,14 +136,12 @@ def lower_bound(region, m, constants=None):
     beta enters only through the hypotheses.
     """
     k = constants if constants is not None else BoundConstants()
-    k.validate()
-    problems = _region_problems(region, m)
-    if problems:
+    if not m > 0:
         return BoundReport(
             value=float("nan"),
             regime="none",
             valid=False,
-            reason="; ".join(problems),
+            reason=f"m must be > 0, got {m}",
             constants=k,
             probability="at least 3/4",
         )

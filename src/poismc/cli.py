@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundConstants, lower_bound, upper_bound
-from .core import FeasibleRegion, validate_region
+from .core import FeasibleRegion
 from .errors import (
     BacktrackOverflow,
     CorruptFile,
@@ -89,11 +89,9 @@ def _write_manifest(out_dir, command, argv, seed, outputs):
 
 
 def _region_from_args(args):
-    region = FeasibleRegion(
+    return FeasibleRegion(
         d1=args.d1, d2=args.d2, alpha=args.alpha, beta=args.beta, r=args.rank
     )
-    validate_region(region)
-    return region
 
 
 # --- subcommands -----------------------------------------------------------
@@ -128,9 +126,7 @@ def cmd_complete(args, argv):
         eta=args.eta,
         proj_tol=args.proj_tol,
         proj_max_iter=args.proj_max_iter,
-        seed=args.seed,
     )
-    cfg.validate()
     if args.baseline and args.truth is None:
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     out = _ensure_out(args.out)
@@ -164,7 +160,6 @@ def cmd_bounds(args, argv):
     constants = BoundConstants(
         c_prime=args.c_prime, c0=args.c0, c1=args.c1, c2=args.c2
     )
-    constants.validate()
     ub = upper_bound(region, args.m, constants)
     lb = lower_bound(region, args.m, constants)
     if ub.valid and lb.valid:
@@ -200,7 +195,6 @@ def cmd_verify(args, argv):
         return _fail(f"--samples must be >= 1, got {args.samples}", EXIT_VALIDATION)
     # Only the box matters for these checks; shape and rank are fixed.
     region = FeasibleRegion(d1=16, d2=16, alpha=args.alpha, beta=args.beta, r=4)
-    validate_region(region)
     out = _ensure_out(args.out)
     report = verify_lemmas(region, args.samples, args.seed)
     write_json(report, os.path.join(out, "verify.json"))
@@ -227,9 +221,7 @@ def cmd_demo_solar(args, argv):
         lam=args.lam,
         l0=args.l0,
         eta=args.eta,
-        seed=args.seed,
     )
-    cfg.validate()
     out = _ensure_out(args.out)
     rec = recover_image(
         image,

@@ -29,7 +29,9 @@ class FeasibleRegion:
 
     The candidate set is the intersection of the box
     ``beta <= X_ij <= alpha`` with the nuclear-norm ball of radius
-    ``alpha * sqrt(r * d1 * d2)``.
+    ``alpha * sqrt(r * d1 * d2)``. Construction runs
+    :func:`validate_region`, so functions that take a region do not
+    check it again.
     """
 
     d1: int
@@ -37,6 +39,9 @@ class FeasibleRegion:
     alpha: float
     beta: float
     r: int
+
+    def __post_init__(self):
+        validate_region(self)
 
     @property
     def nuclear_radius(self):
@@ -176,7 +181,6 @@ def membership(x, region, tol=DEFAULT_MEMBERSHIP_TOL):
     ``beta - tol <= x_ij <= alpha + tol`` everywhere, ``in_nuclear_ball``
     requires the nuclear norm to be at most the region radius plus ``tol``.
     """
-    validate_region(region)
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
     x = as_matrix(x, shape=region.shape)

@@ -5,15 +5,17 @@ The objective over a sample set omega is
     f(X) = -sum_{(i,j) in omega} (y_ij * log(x_ij) - x_ij),
 
 smooth and convex on matrices positive at the sampled cells. Its gradient
-is supported on omega with entries ``1 - y_ij / x_ij``, and on the box
-[beta, alpha] the gradient is Lipschitz with constant ``alpha / beta**2``.
+is supported on omega with entries ``1 - y_ij / x_ij``, and its Hessian is
+diagonal with entries ``y_ij / x_ij**2``. On the box [beta, alpha] the
+gradient is therefore Lipschitz with constant ``max(y) / beta**2``, which
+is at most ``alpha / beta**2`` only when every count is at most alpha.
 """
 
 import math
 
 import numpy as np
 
-from .core import as_matrix, validate_region
+from .core import as_matrix
 from .errors import NonPositiveEntryAtObservation, NonPositiveParameter
 
 
@@ -52,8 +54,12 @@ def gradient(x, obs):
 
 
 def lipschitz_constant(region):
-    """Gradient Lipschitz constant ``alpha / beta**2`` on the region's box."""
-    validate_region(region)
+    """Fixed reciprocal step ``alpha / beta**2`` of the pg and apg solvers.
+
+    The curvature at a sampled cell is ``y / x**2``, so on the region's box
+    this is a Lipschitz constant of :func:`gradient` only when every count
+    ``y`` is at most alpha.
+    """
     return region.alpha / region.beta**2
 
 
@@ -108,7 +114,6 @@ def hellinger_mse_floor(region):
     c = (1 - exp(-T)) / (4*alpha*T) with T = (alpha - beta)**2 / (8*beta);
     the T -> 0 limit (alpha == beta) is 1 / (4*alpha).
     """
-    validate_region(region)
     alpha, beta = region.alpha, region.beta
     t = (alpha - beta) ** 2 / (8.0 * beta)
     if t == 0.0:

@@ -12,12 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _svd, as_matrix, nuclear_norm, validate_region
+from .core import _svd, as_matrix, nuclear_norm
 from .errors import BadRadius, BadTau, NoConvergence
-
-# Singular values below this fraction of sigma_max are treated as zero
-# when counting rank anywhere in the package.
-RANK_TRUNCATION_REL = 1e-12
 
 # Relative margin below the radius under which a values-only nuclear norm
 # proves a box point lies in the ball. On a 200x200 instance the values-only
@@ -42,17 +38,8 @@ class ProjectionReport:
     final_gap: float
 
 
-def numerical_rank(x):
-    """Count of singular values above ``RANK_TRUNCATION_REL * sigma_max``."""
-    s = _svd(as_matrix(x), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_TRUNCATION_REL * s[0]))
-
-
 def project_box(x, region):
     """Clamp entries into [beta, alpha]; the Frobenius-nearest box point."""
-    validate_region(region)
     x = as_matrix(x, shape=region.shape)
     return np.clip(x, region.beta, region.alpha)
 
@@ -126,7 +113,6 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
         ``max_iter`` reached with gap above ``tol``; the exception's
         ``report`` attribute carries the last iterate anyway.
     """
-    validate_region(region)
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:

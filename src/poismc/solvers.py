@@ -9,9 +9,14 @@ Three schemes, all starting from the count-seeded initializer:
   box projection and backtracking on the reciprocal step size L over
   the ladder ``L, L*eta, L*eta**2, ...``. The accepted rung is found by
   galloping (rungs 1, 2, 4, ...) and bisection, clamped at the first
-  rung at or above the Lipschitz constant; from there, where every
-  step is majorized in exact arithmetic and a rejection is rounding
-  noise, the rungs are stepped one at a time.
+  rung at or above alpha/beta**2; from there the rungs are stepped one
+  at a time.
+
+pg and apg share one loop in which pg is apg with zero momentum. pmlsv
+keeps its own: its backtracking, carried objective, majorization gaps and
+``QGapSmall`` exit share only the gradient call with the other two.
+alpha/beta**2 bounds the curvature of the objective on the box only when
+every count is at most alpha (see ``lipschitz_constant``).
 
 Objective values are recorded after the projection of each iteration,
 so the trace length equals the number of iterations run.
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _svd, as_matrix, validate_region
+from .core import _svd, as_matrix
 from .errors import BacktrackOverflow, NoConvergence, ProjectionFailure, ShapeMismatch
 from .likelihood import gradient, lipschitz_constant, neg_log_likelihood
 from .projections import alternating_projection, project_box
@@ -32,7 +37,8 @@ ALGORITHMS = ("pg", "apg", "pmlsv")
 # Backtracking gives up once the reciprocal step size passes this. The
 # gallop over the ladder of rungs never probes past the last rung at or
 # below the cap; only the one-rung-at-a-time scan above the top rung can
-# step past it, and that raises BacktrackOverflow.
+# step past it, and that raises BacktrackOverflow. Rejections in that
+# scan are rounding noise only when every count is at most alpha.
 BACKTRACK_L_CAP = 1e15
 
 
@@ -44,7 +50,8 @@ class SolverConfig:
     the fixed reciprocal step ``alpha/beta**2``. ``proj_tol`` bounds the
     feasibility gap of the alternating projection; gaps at or below the
     float64 noise floor ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
-    ``seed`` is carried as reproducibility metadata.
+    Construction raises ``ValueError`` on an unknown algorithm or a value
+    out of range.
     """
 
     algorithm: str = "pmlsv"
@@ -54,9 +61,8 @@ class SolverConfig:
     eta: float = 1.1
     proj_tol: float = 1e-6
     proj_max_iter: int = 500
-    seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         if self.max_iter < 1:
@@ -113,7 +119,6 @@ def init_matrix(obs, region):
     midpoint ``(alpha + beta) / 2``; the result is clamped into the box
     so the objective and its gradient are defined at it.
     """
-    validate_region(region)
     if obs.shape != region.shape:
         raise ShapeMismatch(
             f"observations are {obs.shape}, region is {region.shape}"
@@ -127,8 +132,10 @@ def quadratic_model(m, m_prev, t, obs):
     """Quadratic expansion of the objective around ``m_prev``.
 
     ``f(m_prev) + <m - m_prev, grad f(m_prev)> + (t/2) * ||m - m_prev||_F**2``.
-    For ``t`` at or above the Lipschitz constant this majorizes the
-    objective on the box.
+    For ``t`` at or above the gradient's Lipschitz constant on the box,
+    ``max(y) / beta**2``, this majorizes the objective there.
+    ``lipschitz_constant`` gives ``alpha / beta**2``, which is that large
+    only when every count ``y`` is at most alpha.
     """
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
@@ -147,13 +154,13 @@ def _box_active_fraction(x, region):
     return float(np.mean((x <= region.beta) | (x >= region.alpha)))
 
 
-def _finish(algorithm, est, trace, k, termination, t_start, final_l,
-            region, gaps=None):
+def _finish(algorithm, est, trace, termination, t_start, final_l, region,
+            gaps=None):
     return SolverReport(
         algorithm=algorithm,
         estimate=est,
         objective_trace=np.asarray(trace),
-        iterations_run=k,
+        iterations_run=len(trace),
         termination=termination,
         wall_time=time.perf_counter() - t_start,
         final_l=final_l,
@@ -162,54 +169,48 @@ def _finish(algorithm, est, trace, k, termination, t_start, final_l,
     )
 
 
-def _project_feasible(w, region, cfg, algorithm, prev, trace, k, t_start, l):
-    """Alternating projection; on failure raise with the last good iterate."""
-    try:
-        return alternating_projection(
-            w, region, tol=cfg.proj_tol, max_iter=cfg.proj_max_iter
-        ).result
-    except NoConvergence as exc:
-        report = _finish(
-            algorithm, prev, trace, k - 1, "ProjectionFailure", t_start, l, region
-        )
-        raise ProjectionFailure(str(exc), report) from exc
-
-
-def solve_pg(obs, region, cfg):
-    """Projected gradient descent at fixed step 1/L."""
-    cfg.validate()
-    validate_region(region)
+def _start(obs, region):
+    """Reject empty ``obs``; return the start time, alpha/beta**2 and M_0."""
     if len(obs) == 0:
         raise ValueError("need at least one observation")
-    t_start = time.perf_counter()
-    lip = lipschitz_constant(region)
-    m = init_matrix(obs, region)
-    trace = []
-    for k in range(1, cfg.max_iter + 1):
-        w = m - gradient(m, obs) / lip
-        m = _project_feasible(w, region, cfg, "pg", m, trace, k, t_start, lip)
-        trace.append(neg_log_likelihood(m, obs))
-    return _finish("pg", m, trace, cfg.max_iter, "MaxIter", t_start, lip, region)
+    return time.perf_counter(), lipschitz_constant(region), init_matrix(obs, region)
 
 
-def solve_apg(obs, region, cfg):
-    """Accelerated projected gradient with (k-1)/(k+2) momentum."""
-    cfg.validate()
-    validate_region(region)
-    if len(obs) == 0:
-        raise ValueError("need at least one observation")
-    t_start = time.perf_counter()
-    lip = lipschitz_constant(region)
-    m_prev = init_matrix(obs, region)
+def _projected_gradient(algorithm, obs, region, cfg):
+    """Gradient step from ``z`` at 1/L, then ``alternating_projection``.
+
+    apg sets ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, pg ``z = M_k``.
+    A projection that does not close raises ``ProjectionFailure`` with
+    the report of the last good iterate.
+    """
+    accelerate = algorithm == "apg"
+    t_start, lip, m_prev = _start(obs, region)
     z = m_prev
     trace = []
     for k in range(1, cfg.max_iter + 1):
         w = z - gradient(z, obs) / lip
-        m = _project_feasible(w, region, cfg, "apg", m_prev, trace, k, t_start, lip)
-        z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev)
+        try:
+            m = alternating_projection(
+                w, region, tol=cfg.proj_tol, max_iter=cfg.proj_max_iter
+            ).result
+        except NoConvergence as exc:
+            report = _finish(algorithm, m_prev, trace, "ProjectionFailure",
+                             t_start, lip, region)
+            raise ProjectionFailure(str(exc), report) from exc
+        z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
         m_prev = m
         trace.append(neg_log_likelihood(m, obs))
-    return _finish("apg", m_prev, trace, cfg.max_iter, "MaxIter", t_start, lip, region)
+    return _finish(algorithm, m_prev, trace, "MaxIter", t_start, lip, region)
+
+
+def solve_pg(obs, region, cfg):
+    """Projected gradient descent at fixed step 1/L."""
+    return _projected_gradient("pg", obs, region, cfg)
+
+
+def solve_apg(obs, region, cfg):
+    """Accelerated projected gradient with (k-1)/(k+2) momentum."""
+    return _projected_gradient("apg", obs, region, cfg)
 
 
 def _shrink_trial(l, m, g, f_prev, lam, region, obs):
@@ -248,10 +249,11 @@ def _backtrack(l, ctx, eta, lip):
     accepted probe, so no trial runs twice. That is the rung the
     one-at-a-time scan finds whenever acceptance is monotone below the
     top rung. At or above ``lip`` every step is majorized in exact
-    arithmetic, so a rejection there is rounding noise and acceptance
-    need not be monotone: once the top rung rejects, the rungs above it
-    are probed one at a time, and past ``BACKTRACK_L_CAP`` that raises
-    ``BacktrackOverflow``.
+    arithmetic only when every count is at most alpha (see
+    ``lipschitz_constant``); a rejection there is then rounding noise.
+    Either way acceptance need not be monotone above the top rung: once
+    it rejects, the rungs above it are probed one at a time, and past
+    ``BACKTRACK_L_CAP`` that raises ``BacktrackOverflow``.
     """
     trial = _shrink_trial(l, *ctx)
     if not trial[1] > trial[2]:
@@ -285,37 +287,26 @@ def solve_pmlsv(obs, region, cfg):
     The accepted L carries over to the next iteration. Terminates early
     once ``|f - Q| < 0.5 / max_iter``.
     """
-    cfg.validate()
-    validate_region(region)
-    if len(obs) == 0:
-        raise ValueError("need at least one observation")
-    t_start = time.perf_counter()
-    lip = lipschitz_constant(region)
+    t_start, lip, m = _start(obs, region)
     l = cfg.l0
-    m = init_matrix(obs, region)
     f_prev = neg_log_likelihood(m, obs)
     q_exit = 0.5 / cfg.max_iter
     trace = []
     gaps = []
     termination = "MaxIter"
-    k_run = 0
-    for k in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         g = gradient(m, obs)
         ctx = (m, g, f_prev, cfg.lam, region, obs)
         l, (m, f_prev, q) = _backtrack(l, ctx, cfg.eta, lip)
         trace.append(f_prev)
         gaps.append(f_prev - q)
-        k_run = k
         if abs(f_prev - q) < q_exit:
             termination = "QGapSmall"
             break
-    return _finish(
-        "pmlsv", m, trace, k_run, termination, t_start, l, region, gaps=gaps
-    )
+    return _finish("pmlsv", m, trace, termination, t_start, l, region, gaps=gaps)
 
 
 def solve(obs, region, cfg):
     """Dispatch on ``cfg.algorithm``."""
-    cfg.validate()
     fn = {"pg": solve_pg, "apg": solve_apg, "pmlsv": solve_pmlsv}[cfg.algorithm]
     return fn(obs, region, cfg)

@@ -18,7 +18,6 @@ from .core import (
     ObservationSet,
     membership,
     mse_per_entry,
-    validate_region,
 )
 from .bounds import poisson_tail_threshold, tail_bound
 from .errors import (
@@ -57,11 +56,20 @@ def derive_seed(seed, *path):
 
 @dataclass(frozen=True)
 class SynthesisSpec:
-    """One synthetic problem instance: geometry, sample budget, seed."""
+    """One synthetic problem instance: geometry, sample budget, seed.
+
+    Construction raises ``BadM`` unless ``0 < mask_m <= d1 * d2``.
+    """
 
     region: FeasibleRegion
     mask_m: float
     seed: int
+
+    def __post_init__(self):
+        if not 0 < self.mask_m <= self.d1 * self.d2:
+            raise BadM(
+                f"mask_m must be in (0, {self.d1 * self.d2}], got {self.mask_m}"
+            )
 
     @property
     def d1(self):
@@ -74,13 +82,6 @@ class SynthesisSpec:
     @property
     def r(self):
         return self.region.r
-
-    def validate(self):
-        validate_region(self.region)
-        if not 0 < self.mask_m <= self.d1 * self.d2:
-            raise BadM(
-                f"mask_m must be in (0, {self.d1 * self.d2}], got {self.mask_m}"
-            )
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,6 @@ def make_low_rank(spec):
     nuclear-ball membership is asserted and, should floating point ever
     nudge it out, the spread is shrunk and the rescale repeated.
     """
-    spec.validate()
     region = spec.region
     d1, d2, r = region.d1, region.d2, region.r
     alpha, beta = region.alpha, region.beta
@@ -155,8 +155,6 @@ def sample_poisson(truth, mask, seed, m_expected=None):
 
 def run_trial(spec, cfg):
     """Synthesize, sample, solve, and score one problem instance."""
-    spec.validate()
-    cfg.validate()
     truth = make_low_rank(spec)
     mask = sample_mask(spec.d1, spec.d2, spec.mask_m, spec.seed)
     obs = sample_poisson(truth, mask, spec.seed, m_expected=spec.mask_m)
@@ -254,7 +252,6 @@ def verify_lemmas(region, samples, seed, matrix_samples=None, tail_draws=None):
     ``samples`` scalar pairs are drawn from the box; matrix pairs default
     to ``samples // 10`` and tail draws to ``100 * samples`` capped at 1e6.
     """
-    validate_region(region)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if matrix_samples is None:

@@ -101,6 +101,12 @@ def test_upper_matches_oracle_on_grid():
     assert worst < 1e-9
 
 
+def test_constants_must_be_positive_at_construction():
+    for name in ("c_prime", "c1", "c2", "c0"):
+        with pytest.raises(ValueError):
+            BoundConstants(**{name: 0.0})
+
+
 def test_upper_invalid_inputs_flagged():
     rep = upper_bound(region(), -5.0)
     assert not rep.valid

@@ -54,19 +54,20 @@ def test_validate_rejects_bad_shapes_and_ranks():
 
 
 def test_validate_matches_invariants_on_parameter_grid():
-    # validate_region accepts exactly the parameter sets satisfying the
-    # documented invariants.
+    # A region can be built from exactly the parameter sets satisfying the
+    # documented invariants; construction runs validate_region.
     for d1 in (1, 2, 3):
         for d2 in (1, 3):
             for r in (0, 1, 2, 3, 4):
                 for alpha, beta in ((1.0, 0.5), (1.0, 1.0), (0.5, 1.0), (1.0, 0.0)):
                     ok = (0 < beta <= alpha) and (1 <= r <= min(d1, d2))
-                    reg = region(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r)
                     if ok:
-                        validate_region(reg)
+                        validate_region(
+                            region(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r)
+                        )
                     else:
                         with pytest.raises((BadBounds, BadRank, BadShape)):
-                            validate_region(reg)
+                            region(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r)
 
 
 def test_nuclear_radius():

@@ -14,7 +14,6 @@ from poismc import (
     svt,
 )
 from poismc.errors import BadRadius, BadTau, NoConvergence
-from poismc.projections import numerical_rank
 
 from test_solvers import binding_instance, hadamard
 
@@ -350,8 +349,3 @@ def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
     rep = alternating_projection(u0, reg, tol=1e-6)
     assert rep.iterations > 3
     assert counts == {"full": rep.iterations, "values": 1}
-
-
-def test_numerical_rank():
-    assert numerical_rank(np.zeros((3, 3))) == 0
-    assert numerical_rank(np.diag([2.0, 1.0, 1e-15])) == 2

@@ -131,6 +131,19 @@ def test_qmodel_majorizes_at_lipschitz_step():
         assert q >= neg_log_likelihood(m, obs) - 1e-10
 
 
+def test_qmodel_need_not_majorize_when_a_count_exceeds_alpha():
+    # alpha/beta**2 bounds the curvature y/x**2 on the box only when every
+    # count y <= alpha; with y = 20 > alpha = 9 the model at L = 9 lies
+    # below the objective.
+    obs, reg = one_by_one(20, alpha=9.0, beta=1.0)
+    assert lipschitz_constant(reg) == 9.0
+    q = quadratic_model([[2.0]], [[1.0]], 9.0, obs)
+    f = neg_log_likelihood([[2.0]], obs)
+    assert q == pytest.approx(-13.5, abs=1e-12)
+    assert f == pytest.approx(2.0 - 20.0 * math.log(2.0), abs=1e-12)
+    assert q < f
+
+
 # --- projected gradient -----------------------------------------------------------
 
 
@@ -450,15 +463,15 @@ def test_dispatch_rejects_unknown_algorithm():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(max_iter=0).validate()
+        SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
-        SolverConfig(eta=1.0).validate()
+        SolverConfig(eta=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(lam=-0.1).validate()
+        SolverConfig(lam=-0.1)
     with pytest.raises(ValueError):
-        SolverConfig(l0=0.0).validate()
+        SolverConfig(l0=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(proj_tol=0.0).validate()
+        SolverConfig(proj_tol=0.0)
 
 
 def test_solver_runs_are_deterministic():

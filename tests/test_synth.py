@@ -79,6 +79,13 @@ def test_mask_full_when_m_equals_cells():
     assert mask.all()
 
 
+def test_spec_rejects_bad_m_at_construction():
+    with pytest.raises(BadM):
+        spec(m=0)
+    with pytest.raises(BadM):
+        spec(d1=10, d2=8, m=81)
+
+
 def test_mask_rejects_bad_m():
     with pytest.raises(BadM):
         sample_mask(6, 5, 0, seed=0)
