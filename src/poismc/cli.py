@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundConstants, lower_bound, upper_bound
-from .core import FeasibleRegion
+from .core import FeasibleRegion, mse_per_entry
 from .errors import (
     BacktrackOverflow,
     CorruptFile,
@@ -43,10 +43,9 @@ from .fileio import (
     write_matrix_csv,
     write_observations_csv,
 )
-from .imaging import read_image, recover_image, to_display, write_image
+from .imaging import read_image, recover_image, to_display, unpatchify, write_image
 from .solvers import SolverConfig, solve
 from .synth import SynthesisSpec, make_low_rank, sample_mask, sample_poisson, verify_lemmas
-from .core import mse_per_entry
 
 SCHEMA_VERSION = 1
 
@@ -234,8 +233,6 @@ def cmd_demo_solar(args, argv):
         beta=args.beta,
     )
     region, layout = rec.region, rec.layout
-    from .imaging import unpatchify
-
     truth_img = unpatchify(to_display(rec.truth, region), layout)
     # Observed view: counts where sampled, dark where missing.
     counts = np.zeros(rec.truth.shape)
@@ -299,6 +296,17 @@ def build_parser():
         p.add_argument("--alpha", type=float, required=True, help="entry upper bound")
         p.add_argument("--beta", type=float, required=True, help="entry lower bound")
 
+    def add_solver(p):
+        defaults = SolverConfig()
+        p.add_argument("--iters", type=int, default=defaults.max_iter,
+                       help="iteration cap")
+        p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                       help="nuclear-norm weight (pmlsv)")
+        p.add_argument("--l0", type=float, default=defaults.l0,
+                       help="initial reciprocal step size (pmlsv)")
+        p.add_argument("--eta", type=float, default=defaults.eta,
+                       help="backtracking factor (pmlsv)")
+
     p = sub.add_parser("simulate", help="synthesize truth and observations")
     add_region(p)
     p.add_argument("--m", type=float, required=True, help="expected sample count")
@@ -309,13 +317,7 @@ def build_parser():
     p.add_argument("--obs", required=True, help="observation CSV (header i,j,y)")
     add_region(p)
     p.add_argument("--algo", choices=("pg", "apg", "pmlsv"), default="pmlsv")
-    p.add_argument("--iters", type=int, default=2000, help="iteration cap")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1,
-                   help="nuclear-norm weight (pmlsv)")
-    p.add_argument("--l0", type=float, default=1e-4,
-                   help="initial reciprocal step size (pmlsv)")
-    p.add_argument("--eta", type=float, default=1.1,
-                   help="backtracking factor (pmlsv)")
+    add_solver(p)
     p.add_argument("--proj-tol", type=float, default=1e-6,
                    help="feasibility projection tolerance (pg/apg); gaps at or "
                         "below the float64 noise floor 4*sqrt(d1*d2)*eps*||M||_F "
@@ -351,10 +353,7 @@ def build_parser():
                    help="grayscale PGM (default: packaged demo image)")
     p.add_argument("--p", type=float, default=0.8,
                    help="expected observed fraction in (0, 1]")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=2000)
-    p.add_argument("--l0", type=float, default=1e-4)
-    p.add_argument("--eta", type=float, default=1.1)
+    add_solver(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patch", type=int, default=8, help="square patch size")
     p.add_argument("--scale", type=float, default=1.0,

@@ -34,7 +34,15 @@ def neg_log_likelihood(x, obs):
         )
     if vals.size == 0:
         return 0.0
-    return float(-np.sum(obs.counts * np.log(vals) - vals))
+    return _sampled_nll(vals, obs.counts)
+
+
+def _sampled_nll(vals, counts):
+    """``neg_log_likelihood`` from the sampled entries ``vals`` alone.
+
+    No checks: ``vals`` must be positive and in the stored sample order.
+    """
+    return float(-np.sum(counts * np.log(vals) - vals))
 
 
 def gradient(x, obs):

@@ -8,13 +8,14 @@ Three schemes, all starting from the count-seeded initializer:
 * ``pmlsv``  nuclear-norm regularized singular-value shrinkage with
   box projection and backtracking on the reciprocal step size L over
   the ladder ``L, L*eta, L*eta**2, ...``. The accepted rung is found by
-  galloping (rungs 1, 2, 4, ...) and bisection, clamped at the first
-  rung at or above alpha/beta**2; from there the rungs are stepped one
-  at a time.
+  galloping (rungs 1, 2, 4, ...) and bisection. A step is accepted when
+  ``f - Q <= 0``, computed without subtracting two values of f (the
+  stable test of TFOCS, Becker, Candes & Grant 2011), so rounding noise
+  near the optimum does not reject steps and push L up.
 
 pg and apg share one loop in which pg is apg with zero momentum. pmlsv
-keeps its own: its backtracking, carried objective, majorization gaps and
-``QGapSmall`` exit share only the gradient call with the other two.
+keeps its own: its backtracking, majorization gaps and ``QGapSmall``
+exit share only the gradient call with the other two.
 alpha/beta**2 bounds the curvature of the objective on the box only when
 every count is at most alpha (see ``lipschitz_constant``).
 
@@ -27,18 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _svd, as_matrix
+from .core import as_matrix
 from .errors import BacktrackOverflow, NoConvergence, ProjectionFailure, ShapeMismatch
-from .likelihood import gradient, lipschitz_constant, neg_log_likelihood
-from .projections import alternating_projection, project_box
+from .likelihood import _sampled_nll, gradient, lipschitz_constant, neg_log_likelihood
+from .projections import alternating_projection, project_box, svt
 
 ALGORITHMS = ("pg", "apg", "pmlsv")
 
-# Backtracking gives up once the reciprocal step size passes this. The
-# gallop over the ladder of rungs never probes past the last rung at or
-# below the cap; only the one-rung-at-a-time scan above the top rung can
-# step past it, and that raises BacktrackOverflow. Rejections in that
-# scan are rounding noise only when every count is at most alpha.
+# Backtracking never climbs past this reciprocal step size; it raises
+# BacktrackOverflow once the last rung at or below it rejects.
 BACKTRACK_L_CAP = 1e15
 
 
@@ -133,20 +131,15 @@ def quadratic_model(m, m_prev, t, obs):
 
     ``f(m_prev) + <m - m_prev, grad f(m_prev)> + (t/2) * ||m - m_prev||_F**2``.
     For ``t`` at or above the gradient's Lipschitz constant on the box,
-    ``max(y) / beta**2``, this majorizes the objective there.
-    ``lipschitz_constant`` gives ``alpha / beta**2``, which is that large
-    only when every count ``y`` is at most alpha.
+    ``max(y) / beta**2``, this majorizes the objective there. pmlsv does
+    not evaluate it: its trials compute ``f - Q`` directly.
     """
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     m = as_matrix(m)
     m_prev = as_matrix(m_prev, shape=m.shape)
-    return _model_value(
-        neg_log_likelihood(m_prev, obs), gradient(m_prev, obs), m - m_prev, t
-    )
-
-
-def _model_value(f_prev, g, diff, t):
+    diff = m - m_prev
+    f_prev, g = neg_log_likelihood(m_prev, obs), gradient(m_prev, obs)
     return f_prev + float(np.vdot(diff, g)) + 0.5 * t * float(np.vdot(diff, diff))
 
 
@@ -170,10 +163,10 @@ def _finish(algorithm, est, trace, termination, t_start, final_l, region,
 
 
 def _start(obs, region):
-    """Reject empty ``obs``; return the start time, alpha/beta**2 and M_0."""
+    """Reject empty ``obs``; return the start time and M_0."""
     if len(obs) == 0:
         raise ValueError("need at least one observation")
-    return time.perf_counter(), lipschitz_constant(region), init_matrix(obs, region)
+    return time.perf_counter(), init_matrix(obs, region)
 
 
 def _projected_gradient(algorithm, obs, region, cfg):
@@ -184,7 +177,8 @@ def _projected_gradient(algorithm, obs, region, cfg):
     the report of the last good iterate.
     """
     accelerate = algorithm == "apg"
-    t_start, lip, m_prev = _start(obs, region)
+    t_start, m_prev = _start(obs, region)
+    lip = lipschitz_constant(region)
     z = m_prev
     trace = []
     for k in range(1, cfg.max_iter + 1):
@@ -213,63 +207,62 @@ def solve_apg(obs, region, cfg):
     return _projected_gradient("apg", obs, region, cfg)
 
 
-def _shrink_trial(l, m, g, f_prev, lam, region, obs):
-    """One pmlsv trial at reciprocal step size ``l``: ``(m_next, f_next, q)``.
+def _shrink_trial(l, m, x, g, lam, region, obs):
+    """One pmlsv trial at reciprocal step size ``l``: ``(m_next, x_next, gap)``.
 
-    The step is rejected when ``f_next > q``, the quadratic model's value.
+    ``x`` and ``x_next`` are ``m`` and ``m_next`` at the sampled cells.
+    ``gap = f(m_next) - Q(m_next, m)`` is computed as the likelihood's
+    Bregman term ``sum(y * (r - log1p(r)))``, ``r = (x_next - x) / x``,
+    minus ``(l/2) * ||m_next - m||_F**2``, so no two values of f cancel.
+    The step is rejected when ``gap > 0``.
     """
-    u, s, vt = _svd(m - g / l)
-    m_next = project_box((u * np.maximum(s - lam / l, 0.0)) @ vt, region)
-    q = _model_value(f_prev, g, m_next - m, l)
-    return m_next, neg_log_likelihood(m_next, obs), q
+    m_next = project_box(svt(m - g / l, lam / l), region)
+    x_next = m_next[obs.rows, obs.cols]
+    r = (x_next - x) / x
+    diff = m_next - m
+    bregman = float(np.sum(obs.counts * (r - np.log1p(r))))
+    return m_next, x_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
 
 
-def _climb(l, steps, eta, lip):
-    """Go up to ``steps`` rungs above ``l``, stopping at the top rung.
+def _climb(l, steps, eta):
+    """Go up to ``steps`` rungs above ``l``, stopping at ``BACKTRACK_L_CAP``.
 
     Rungs are made by repeated ``*= eta``, as the one-at-a-time scan
-    makes them, so each equals the scan's value bit for bit. The top rung
-    is the first at or above ``lip``, or the last at or below
-    ``BACKTRACK_L_CAP`` if that comes first. Returns the number of rungs
-    climbed and the rung reached.
+    makes them, so each equals the scan's value bit for bit. Returns the
+    number of rungs climbed and the rung reached.
     """
     n = 0
-    while n < steps and l < lip and l * eta <= BACKTRACK_L_CAP:
+    while n < steps and l * eta <= BACKTRACK_L_CAP:
         l *= eta
         n += 1
     return n, l
 
 
-def _backtrack(l, ctx, eta, lip):
-    """First accepted rung of ``l, l*eta, l*eta**2, ...``: ``(l, trial)``.
+def _backtrack(l, ctx, eta):
+    """An accepted rung of ``l, l*eta, l*eta**2, ...``: ``(l, trial)``.
 
     ``ctx`` holds the arguments of ``_shrink_trial`` after ``l``. Probes
-    rung 0, then gallops through rungs 1, 2, 4, ... up to the top rung
-    (see ``_climb``) and bisects between the last rejected and the first
-    accepted probe, so no trial runs twice. That is the rung the
-    one-at-a-time scan finds whenever acceptance is monotone below the
-    top rung. At or above ``lip`` every step is majorized in exact
-    arithmetic only when every count is at most alpha (see
-    ``lipschitz_constant``); a rejection there is then rounding noise.
-    Either way acceptance need not be monotone above the top rung: once
-    it rejects, the rungs above it are probed one at a time, and past
-    ``BACKTRACK_L_CAP`` that raises ``BacktrackOverflow``.
+    rung 0, then gallops through rungs 1, 2, 4, ... and bisects between
+    the last rejected and the first accepted probe, so no trial runs
+    twice. The returned rung is accepted, and it is rung 0 or the rung
+    below it was probed and rejected. Where acceptance is monotone up to
+    it, that is the first accepted rung, the one the one-at-a-time scan
+    finds. Raises ``BacktrackOverflow`` once the last rung at or below
+    ``BACKTRACK_L_CAP`` rejects.
     """
     trial = _shrink_trial(l, *ctx)
-    if not trial[1] > trial[2]:
+    if not trial[2] > 0.0:
         return l, trial
     lo, l_lo, hi = 0, l, None
     while hi is None or hi - lo > 1:
         steps = max(lo, 1) if hi is None else (hi - lo) // 2
-        n, l_try = _climb(l_lo, steps, eta, lip)
-        if n == 0:  # rung lo is at or above the top rung and rejected
-            n, l_try = 1, l_lo * eta
-            if l_try > BACKTRACK_L_CAP:
-                raise BacktrackOverflow(
-                    f"reciprocal step size exceeded {BACKTRACK_L_CAP:.0e}"
-                )
+        n, l_try = _climb(l_lo, steps, eta)
+        if n == 0:
+            raise BacktrackOverflow(
+                f"reciprocal step size exceeded {BACKTRACK_L_CAP:.0e}"
+            )
         probe = _shrink_trial(l_try, *ctx)
-        if probe[1] > probe[2]:
+        if probe[2] > 0.0:
             lo, l_lo = lo + n, l_try
         else:
             hi, l, trial = lo + n, l_try, probe
@@ -281,26 +274,24 @@ def solve_pmlsv(obs, region, cfg):
 
     Each iteration takes a gradient step at reciprocal step size L,
     shrinks singular values by ``lam / L``, projects onto the box, and
-    accepts the first rung of ``L, L*eta, L*eta**2, ...`` whose step is
-    majorized by the quadratic model (``_backtrack``: gallop and
-    bisection below the Lipschitz rung, one rung at a time above it).
-    The accepted L carries over to the next iteration. Terminates early
-    once ``|f - Q| < 0.5 / max_iter``.
+    accepts a rung of ``L, L*eta, L*eta**2, ...`` whose step is majorized
+    by the quadratic model (``_backtrack``). The accepted L carries over
+    to the next iteration. Terminates early once ``|f - Q| < 0.5 / max_iter``.
     """
-    t_start, lip, m = _start(obs, region)
+    t_start, m = _start(obs, region)
+    x = m[obs.rows, obs.cols]
     l = cfg.l0
-    f_prev = neg_log_likelihood(m, obs)
     q_exit = 0.5 / cfg.max_iter
     trace = []
     gaps = []
     termination = "MaxIter"
     for _ in range(cfg.max_iter):
         g = gradient(m, obs)
-        ctx = (m, g, f_prev, cfg.lam, region, obs)
-        l, (m, f_prev, q) = _backtrack(l, ctx, cfg.eta, lip)
-        trace.append(f_prev)
-        gaps.append(f_prev - q)
-        if abs(f_prev - q) < q_exit:
+        ctx = (m, x, g, cfg.lam, region, obs)
+        l, (m, x, gap) = _backtrack(l, ctx, cfg.eta)
+        trace.append(_sampled_nll(x, obs.counts))
+        gaps.append(gap)
+        if abs(gap) < q_exit:
             termination = "QGapSmall"
             break
     return _finish("pmlsv", m, trace, termination, t_start, l, region, gaps=gaps)

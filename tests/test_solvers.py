@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poismc.projections as projections_mod
 import poismc.solvers as solvers_mod
 from poismc import (
     FeasibleRegion,
@@ -262,43 +263,86 @@ def backtracking_instance():
     return obs, reg, cfg
 
 
+def scan_trial(l, m, g, obs, reg, lam):
+    """Reference pmlsv trial: ``(m_next, f(m_next) - Q(m_next, m))``.
+
+    The gap is the likelihood's Bregman term on the sampled cells minus
+    ``(l/2) * ||m_next - m||_F**2``, the formula the solver uses.
+    """
+    u, s, vt = np.linalg.svd(m - g / l, full_matrices=False)
+    m_next = project_box((u * np.maximum(s - lam / l, 0.0)) @ vt, reg)
+    x = m[obs.rows, obs.cols]
+    r = (m_next[obs.rows, obs.cols] - x) / x
+    diff = m_next - m
+    bregman = float(np.sum(obs.counts * (r - np.log1p(r))))
+    return m_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
+
+
+def scan_step(l, m, g, obs, reg, cfg):
+    """First accepted rung from ``l``, one rung at a time.
+
+    Returns ``(l, m_next, gap, trials)``.
+    """
+    trials = 0
+    while True:
+        trials += 1
+        m_next, gap = scan_trial(l, m, g, obs, reg, cfg.lam)
+        if not gap > 0.0:
+            return l, m_next, gap, trials
+        l *= cfg.eta
+        if l > solvers_mod.BACKTRACK_L_CAP:
+            raise BacktrackOverflow("reference scan overflowed")
+
+
 def linear_scan_pmlsv(obs, reg, cfg):
     """Plain pmlsv that raises L by one factor eta per rejected trial.
 
-    Returns the report fields ``solve_pmlsv`` must reproduce, plus the
-    number of trials of each iteration.
+    Returns the report fields ``solve_pmlsv`` must reproduce wherever its
+    search accepts the scan's rung, plus the number of trials of each
+    iteration.
     """
     l = cfg.l0
     m = init_matrix(obs, reg)
-    f_prev = neg_log_likelihood(m, obs)
     trace, gaps, trials = [], [], []
-    termination, k_run = "MaxIter", 0
-    for k in range(1, cfg.max_iter + 1):
-        g = gradient(m, obs)
-        trials.append(0)
-        while True:
-            trials[-1] += 1
-            u, s, vt = np.linalg.svd(m - g / l, full_matrices=False)
-            m_next = project_box((u * np.maximum(s - cfg.lam / l, 0.0)) @ vt, reg)
-            diff = m_next - m
-            q = f_prev + float(np.vdot(diff, g)) + 0.5 * l * float(np.vdot(diff, diff))
-            f_next = neg_log_likelihood(m_next, obs)
-            if f_next > q:
-                l *= cfg.eta
-                if l > solvers_mod.BACKTRACK_L_CAP:
-                    raise BacktrackOverflow("reference scan overflowed")
-                continue
-            break
-        m, f_prev = m_next, f_next
-        trace.append(f_next)
-        gaps.append(f_next - q)
-        k_run = k
-        if abs(f_next - q) < 0.5 / cfg.max_iter:
+    termination = "MaxIter"
+    for _ in range(cfg.max_iter):
+        l, m, gap, n = scan_step(l, m, gradient(m, obs), obs, reg, cfg)
+        trials.append(n)
+        trace.append(neg_log_likelihood(m, obs))
+        gaps.append(gap)
+        if abs(gap) < 0.5 / cfg.max_iter:
             termination = "QGapSmall"
             break
     return dict(estimate=m, objective_trace=np.asarray(trace),
                 majorization_gaps=np.asarray(gaps), final_l=l,
-                iterations_run=k_run, termination=termination, trials=trials)
+                iterations_run=len(trace), termination=termination, trials=trials)
+
+
+def recorded_pmlsv(obs, reg, cfg):
+    """Run ``solve_pmlsv`` and record every step search it makes.
+
+    Returns the report and, per iteration, a dict with the search's
+    starting rung ``l_in``, its iterate ``m`` and gradient ``g``, the
+    returned rung ``l_out`` and ``probes``, the gap of every probed rung.
+    """
+    steps = []
+    real_trial, real_backtrack = solvers_mod._shrink_trial, solvers_mod._backtrack
+
+    def trial(l, *ctx):
+        out = real_trial(l, *ctx)
+        steps[-1]["probes"][l] = out[2]
+        return out
+
+    def backtrack(l, ctx, eta):
+        steps.append(dict(l_in=l, m=ctx[0], g=ctx[2], probes={}))
+        steps[-1]["l_out"], out = real_backtrack(l, ctx, eta)
+        return steps[-1]["l_out"], out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers_mod, "_shrink_trial", trial)
+        mp.setattr(solvers_mod, "_backtrack", backtrack)
+        rep = solve_pmlsv(obs, reg, cfg)
+    return rep, steps
 
 
 def test_pmlsv_backtracking_raises_l_and_keeps_majorization():
@@ -345,14 +389,75 @@ def pmlsv_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(pmlsv_cases())
 def test_pmlsv_matches_linear_scan(case):
+    # The search's contract, checked in every iteration from the solver's
+    # own state: the returned rung is accepted and is rung 0 or sits just
+    # above a probed, rejected rung. It is the scan's rung unless
+    # acceptance is not monotone up to it.
     obs, reg, cfg = case
-    want = linear_scan_pmlsv(obs, reg, cfg)
-    rep = solve_pmlsv(obs, reg, cfg)
-    for key in ("estimate", "objective_trace", "majorization_gaps"):
-        assert np.array_equal(getattr(rep, key), want[key]), key
-    assert rep.final_l == want["final_l"]
-    assert rep.iterations_run == want["iterations_run"]
-    assert rep.termination == want["termination"]
+    rep, steps = recorded_pmlsv(obs, reg, cfg)
+    agree = True
+    for step in steps:
+        ladder = [step["l_in"]]
+        while ladder[-1] < step["l_out"]:
+            ladder.append(ladder[-1] * cfg.eta)
+        i = len(ladder) - 1
+        assert ladder[i] == step["l_out"]
+        assert not step["probes"][ladder[i]] > 0.0
+        assert i == 0 or step["probes"].get(ladder[i - 1], 0.0) > 0.0
+        l_scan = scan_step(step["l_in"], step["m"], step["g"], obs, reg, cfg)[0]
+        assert l_scan <= step["l_out"]
+        agree = agree and l_scan == step["l_out"]
+    if agree:
+        want = linear_scan_pmlsv(obs, reg, cfg)
+        for key in ("estimate", "objective_trace", "majorization_gaps"):
+            assert np.array_equal(getattr(rep, key), want[key]), key
+        assert rep.final_l == want["final_l"]
+        assert rep.iterations_run == want["iterations_run"]
+        assert rep.termination == want["termination"]
+
+
+def test_pmlsv_search_may_skip_an_isolated_accepted_rung():
+    # Acceptance is not monotone here: rung 0.08 accepts between rejected
+    # rungs. The scan takes it; the gallop (0.01, 0.02, 0.04, 0.16, 2.56)
+    # skips it, and bisection ends at 2.56 because 1.28 rejects. The
+    # count 2 exceeds alpha, so that rejection is not rounding noise.
+    obs = full_obs([[0, 2], [0, 1]])
+    reg = FeasibleRegion(d1=2, d2=2, alpha=1.265625, beta=1.125, r=1)
+    cfg = SolverConfig(algorithm="pmlsv", max_iter=1, lam=1.0, l0=0.01, eta=2.0)
+    assert linear_scan_pmlsv(obs, reg, cfg)["final_l"] == 0.08
+    rep, steps = recorded_pmlsv(obs, reg, cfg)
+    assert rep.final_l == 2.56
+    assert steps[0]["probes"][1.28] > 0.0
+    assert not steps[0]["probes"][2.56] > 0.0
+
+
+def test_shrink_trial_gap_is_f_minus_q():
+    obs, reg, cfg = backtracking_instance()
+    m = init_matrix(obs, reg)
+    x = m[obs.rows, obs.cols]
+    g = gradient(m, obs)
+    for l in (1e-3, 0.1, 1.0, 9.0, 100.0):
+        m_next, x_next, gap = solvers_mod._shrink_trial(l, m, x, g, cfg.lam, reg, obs)
+        assert np.array_equal(x_next, m_next[obs.rows, obs.cols])
+        f = neg_log_likelihood(m_next, obs)
+        q = quadratic_model(m_next, m, l, obs)
+        assert gap == pytest.approx(f - q, abs=1e-9 * abs(f))
+
+
+def test_pmlsv_backtracking_keeps_l_bounded_at_a_converged_iterate():
+    # Near the optimum f(M_next) and Q are equal to many digits; comparing
+    # them rejected steps on rounding noise alone and raised L by eta each
+    # time, to about 1.3e5 over these 1000 rounds. The Bregman form of
+    # the gap has no such cancellation.
+    obs, reg, _ = backtracking_instance()
+    m = init_matrix(obs, reg)
+    x = m[obs.rows, obs.cols]
+    l = 1e-4
+    for _ in range(1000):
+        ctx = (m, x, gradient(m, obs), 10.0, reg, obs)
+        l, (m, x, _) = solvers_mod._backtrack(l, ctx, 1.1)
+    assert obs.counts.max() / reg.beta**2 == 14.0
+    assert l <= 14.0
 
 
 def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
@@ -361,41 +466,34 @@ def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
     k = linear_scan_pmlsv(obs, reg, cfg)["trials"][0] - 1
     assert k >= 16
     svd_calls = []
-    real_svd = solvers_mod._svd
+    real_svd = projections_mod._svd
     monkeypatch.setattr(
-        solvers_mod, "_svd", lambda x: svd_calls.append(1) or real_svd(x)
+        projections_mod, "_svd",
+        lambda x, compute_uv=True: svd_calls.append(1) or real_svd(x, compute_uv),
     )
     solve_pmlsv(obs, reg, cfg)
-    assert len(svd_calls) <= 2 * math.ceil(math.log2(k + 1)) + 1
+    assert 1 <= len(svd_calls) <= 2 * math.ceil(math.log2(k + 1)) + 1
 
 
-def test_pmlsv_steps_one_rung_at_a_time_above_the_top_rung(monkeypatch):
+def test_pmlsv_probes_gallop_to_the_cap_then_overflow(monkeypatch):
     obs, reg, cfg = backtracking_instance()
-    lip = lipschitz_constant(reg)
-    real_nll = solvers_mod.neg_log_likelihood
-    nll_calls = []
-
-    def rejecting_nll(x, obs):  # the first call is the starting point's f
-        nll_calls.append(1)
-        return real_nll(x, obs) + (0.0 if len(nll_calls) == 1 else 1e30)
-
     probes = []
     real_trial = solvers_mod._shrink_trial
 
-    def recording_trial(l, *ctx):
+    def rejecting_trial(l, *ctx):
         probes.append(l)
-        return real_trial(l, *ctx)
+        m_next, x_next, _ = real_trial(l, *ctx)
+        return m_next, x_next, 1.0
 
-    monkeypatch.setattr(solvers_mod, "neg_log_likelihood", rejecting_nll)
-    monkeypatch.setattr(solvers_mod, "_shrink_trial", recording_trial)
+    monkeypatch.setattr(solvers_mod, "_shrink_trial", rejecting_trial)
     with pytest.raises(BacktrackOverflow):
         solve_pmlsv(obs, reg, cfg)
     ladder = [cfg.l0]
     while ladder[-1] * cfg.eta <= solvers_mod.BACKTRACK_L_CAP:
         ladder.append(ladder[-1] * cfg.eta)
-    top = next(i for i, l in enumerate(ladder) if l >= lip)
-    gallop = [ladder[2**j] for j in range(top.bit_length()) if 2**j < top]
-    assert probes == [ladder[0]] + gallop + ladder[top:]
+    top = len(ladder) - 1
+    gallop = [2**j for j in range(top.bit_length()) if 2**j < top]
+    assert probes == [ladder[i] for i in [0] + gallop + [top]]
 
 
 def test_pmlsv_backtrack_overflow(monkeypatch):
