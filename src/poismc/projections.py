@@ -3,7 +3,9 @@
 ``project_box`` and ``project_nuclear_ball`` are exact Euclidean
 projections onto the individual sets. ``alternating_projection`` composes
 them to land in the intersection (a feasible point, not the metric
-projection onto the intersection). ``svt`` soft-thresholds singular
+projection onto the intersection); it proves a clipped point already lies
+in the ball from the singular vectors of the previous ball step where it
+can, before paying for another SVD. ``svt`` soft-thresholds singular
 values, which is the exact proximal operator of the nuclear norm.
 """
 
@@ -15,10 +17,20 @@ import numpy as np
 from .core import _svd, as_matrix, nuclear_norm
 from .errors import BadRadius, BadTau, NoConvergence
 
-# Relative margin below the radius under which a values-only nuclear norm
-# proves a box point lies in the ball. On a 200x200 instance the values-only
-# and full-SVD sums differed by at most 5e-16 relative.
-BALL_TEST_GUARD = 1e-12
+# Relative margin below the radius under which a computed upper bound on
+# ||X||_* proves a box point lies in the ball; both tests of
+# ``alternating_projection`` use it. For the basis bound B = sum ||X v_i||
+# over LAPACK's computed V, ||X||_* <= ||X V^T||_* * ||V^-T||_2
+# <= B / sigma_min(V). The computed V is orthonormal to about 4e-15 per
+# entry and ||V V^T - I||_2 <= 7e-15 at n = 10..500, so the 1/sigma_min
+# factor costs under 1e-14. Rounding the n-term dot products of X V^T
+# moves B by at most n * gamma_n ~ n**2 * eps / 2 relative (4.4e-12 at
+# n = 200, 1e-9 at n = 3000; typically about sqrt(n) * eps), and the
+# values-only and full-SVD sums of singular values differed by at most
+# 5e-16 on a 200x200 instance. A wider guard only sends points in the
+# band to the full ball step, which returns them unchanged with gap 0; on
+# a 200x200 instance no clipped point lay within 1e-6 of the radius.
+BALL_TEST_GUARD = 1e-9
 
 # Rounding noise of the alternating-projection gap, in units of
 # sqrt(d1*d2) * eps * ||U||_F; gaps at or below it count as closed.
@@ -54,11 +66,15 @@ def project_nuclear_ball(x, radius):
     """
     if not radius > 0.0:
         raise BadRadius(f"radius must be > 0, got {radius}")
-    x = as_matrix(x)
+    return _ball_step(as_matrix(x), radius)[0]
+
+
+def _ball_step(x, radius):
+    """``project_nuclear_ball`` on a checked matrix, with ``x``'s ``(u, vt)``."""
     u, s, vt = _svd(x)
     total = float(s.sum())
     if total <= radius:
-        return np.array(x)
+        return np.array(x), u, vt
     # s is sorted descending; find the largest active set k with
     # s_k > (cumsum_k - radius) / k, then theta makes the sum hit radius.
     css = np.cumsum(s)
@@ -67,7 +83,26 @@ def project_nuclear_ball(x, radius):
     k = int(np.nonzero(active)[0].max()) + 1
     theta = (css[k - 1] - radius) / k
     shrunk = np.maximum(s - theta, 0.0)
-    return (u * shrunk) @ vt
+    return (u * shrunk) @ vt, u, vt
+
+
+def _basis_bound(x, u, vt):
+    """Upper bound on ``||x||_*`` from the thin SVD factors of any matrix.
+
+    For any complete orthonormal basis ``q_i``, ``||x||_* <= sum ||x q_i||``
+    (the nuclear norm is dual to the operator norm). The complete factor is
+    ``vt`` (d2 x d2) when d1 >= d2 and ``u`` (d1 x d1) when d1 < d2; the
+    thin SVD of a wide matrix has only d1 right vectors, and a sum over
+    those is not a bound. In exact arithmetic equality holds when the
+    factors are ``x``'s own.
+    """
+    # Scaled to a largest entry of 1, so that squares of tiny entries
+    # cannot underflow to a bound of 0.
+    scale = float(np.abs(x).max()) or 1.0
+    x = x / scale
+    if x.shape[0] >= x.shape[1]:
+        return scale * float(np.linalg.norm(x @ vt.T, axis=0).sum())
+    return scale * float(np.linalg.norm(u.T @ x, axis=1).sum())
 
 
 def svt(x, tau):
@@ -94,11 +129,19 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
 
     The second sweep starts from a box point, ``U_1``. If it already lies
     in the ball, the sweep would return it unchanged with gap 0 whatever
-    ``tol`` is. So that sweep first sums the singular values alone,
-    which costs about 0.4 of a full SVD, and returns ``U_1`` with
-    ``final_gap=0.0`` when the sum is below
-    ``radius * (1 - BALL_TEST_GUARD)``. The guard is far wider than the
-    difference between that sum and the full SVD's, so only a point the
+    ``tol`` is. So that sweep first tries to prove ``||U_1||_*`` is below
+    ``radius * (1 - BALL_TEST_GUARD)``, cheapest test first, and returns
+    ``U_1`` with ``final_gap=0.0`` if either succeeds:
+
+    1. the basis bound ``sum ||U_1 q_i||`` over the complete singular
+       basis of the first sweep's SVD (``_basis_bound``), one matrix
+       product. The basis must be complete: for a wide matrix that is
+       ``u``, since the thin SVD gives it only d1 right vectors;
+    2. the sum of ``U_1``'s singular values from an SVD without vectors,
+       about 0.4 of a full SVD.
+
+    Otherwise the sweep runs the full ball step. The guard exceeds the
+    rounding of both sums (see ``BALL_TEST_GUARD``), so only a point the
     ball step would leave alone skips it, and the result, iteration count
     and gap equal those of the plain loop. The other sweeps have no such
     test. The first starts from an arbitrary point, in the solvers a
@@ -121,10 +164,12 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     u = as_matrix(u0, shape=region.shape)
     noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
+    inside = radius * (1.0 - BALL_TEST_GUARD)
     for j in range(1, max_iter + 1):
-        if j == 2 and nuclear_norm(u) <= radius * (1.0 - BALL_TEST_GUARD):
+        if j == 2 and (_basis_bound(u, *factors) <= inside
+                       or nuclear_norm(u) <= inside):
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
-        v = project_nuclear_ball(u, radius)
+        v, *factors = _ball_step(u, radius)
         u = project_box(v, region)
         gap = float(np.linalg.norm(v - u))
         if gap <= tol or gap <= noise * float(np.linalg.norm(u)):

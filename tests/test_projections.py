@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poismc import (
@@ -14,6 +14,7 @@ from poismc import (
     svt,
 )
 from poismc.errors import BadRadius, BadTau, NoConvergence
+from poismc.projections import BALL_TEST_GUARD, _basis_bound
 
 from test_solvers import binding_instance, hadamard
 
@@ -301,8 +302,22 @@ def altproj_cases(draw):
     return u0, reg, tol, max_iter
 
 
+def wide_equal_bounds_case(transpose=False):
+    # alpha == beta: the clip is constant and its nuclear norm equals the
+    # radius, and on a 3x9 box the 3 right vectors of the thin SVD bound
+    # only part of it.
+    u0 = np.zeros((3, 9))
+    u0[2, 7], u0[2, 8] = 1.0, -1.0
+    if transpose:
+        u0 = u0.T.copy()
+    reg = region(*u0.shape, alpha=0.09375, beta=0.09375, r=1)
+    return u0, reg, 1e-300, 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(altproj_cases())
+@example(wide_equal_bounds_case())
+@example(wide_equal_bounds_case(transpose=True))
 def test_altproj_bit_equal_to_full_svd_loop(case):
     u0, reg, tol, max_iter = case
     want, iters, gap, closed = altproj_reference(u0, reg, tol, max_iter)
@@ -330,14 +345,55 @@ def count_svds(monkeypatch):
 
 
 def test_altproj_clip_inside_ball_skips_full_svd(monkeypatch):
-    # The ball binds on the start; its clip, all 3.0, lies well inside it.
+    # The ball binds on the start; its clip, all 3.0, lies well inside it,
+    # and the first sweep's singular vectors prove so without another SVD.
     reg = region(d1=3, d2=3, alpha=3.0, beta=1.0, r=3)
     counts = count_svds(monkeypatch)
     rep = alternating_projection(np.full((3, 3), 6.0), reg)
-    assert counts == {"full": 1, "values": 1}
+    assert counts == {"full": 1, "values": 0}
     assert rep.iterations == 2
     assert rep.final_gap == 0.0
     assert np.array_equal(rep.result, np.full((3, 3), 3.0))
+
+
+def test_altproj_values_only_sum_proves_what_the_basis_bound_cannot(monkeypatch):
+    # The start lies in the ball (radius 2), so the first sweep's basis is
+    # the standard one. The clip [[1, .9], [.9, .9]] has nuclear norm 1.9,
+    # but its column norms sum to 2.62: only the values-only SVD proves it.
+    reg = region(d1=2, d2=2, alpha=1.0, beta=0.9, r=1)
+    u0 = np.diag([1.0, -0.5])
+    clip = np.array([[1.0, 0.9], [0.9, 0.9]])
+    u, _, vt = np.linalg.svd(u0)
+    assert _basis_bound(clip, u, vt) > reg.nuclear_radius
+    counts = count_svds(monkeypatch)
+    rep = alternating_projection(u0, reg)
+    assert counts == {"full": 1, "values": 1}
+    assert rep.iterations == 2
+    assert rep.final_gap == 0.0
+    assert np.array_equal(rep.result, clip)
+
+
+@st.composite
+def bound_cases(draw):
+    d1, d2 = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(d1, d2)))  # rank k < min(d1, d2) is deficient
+    entries = st.floats(-10.0, 10.0)
+    a = np.array(draw(st.lists(entries, min_size=d1 * k, max_size=d1 * k)))
+    b = np.array(draw(st.lists(entries, min_size=k * d2, max_size=k * d2)))
+    e = np.array(draw(st.lists(entries, min_size=d1 * d2, max_size=d1 * d2)))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    x = a.reshape(d1, k) @ b.reshape(k, d2)
+    return x, x + scale * e.reshape(d1, d2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+def test_basis_bound_never_undercuts_the_nuclear_norm(case):
+    # The bound over the complete factor of a nearby matrix's SVD, as the
+    # second sweep uses it, stays above ||x||_* within the guard.
+    x, nearby = case
+    u, _, vt = np.linalg.svd(nearby, full_matrices=False)
+    assert _basis_bound(x, u, vt) >= nuclear_norm(x) * (1.0 - BALL_TEST_GUARD)
 
 
 def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
