@@ -48,17 +48,31 @@ def _sampled_nll(vals, counts):
 def gradient(x, obs):
     """Gradient of :func:`neg_log_likelihood` at ``x``.
 
-    Zero off the sample set; ``1 - y_ij / x_ij`` on it.
+    Zero off the sample set; ``1 - y_ij / x_ij`` on it, from
+    :func:`_sampled_gradient`. The solvers never build this matrix: they
+    apply ``_sampled_gradient`` to the sampled entries and write the step
+    into those cells only. Off the sample set the step subtracts
+    ``0.0 / L``, which leaves every entry unchanged, so both ways give
+    the same bits.
     """
     x = as_matrix(x, shape=obs.shape)
-    vals = x[obs.rows, obs.cols]
+    g = np.zeros(obs.shape)
+    g[obs.rows, obs.cols] = _sampled_gradient(x[obs.rows, obs.cols], obs.counts)
+    return g
+
+
+def _sampled_gradient(vals, counts):
+    """``gradient`` at the sampled entries ``vals`` alone: ``1 - counts / vals``.
+
+    ``vals`` and ``counts`` are in the stored sample order. Raises
+    ``NonPositiveEntryAtObservation`` unless every entry of ``vals`` is
+    positive.
+    """
     if np.any(vals <= 0.0):
         raise NonPositiveEntryAtObservation(
             "gradient needs x > 0 at every sampled cell"
         )
-    g = np.zeros(obs.shape)
-    g[obs.rows, obs.cols] = 1.0 - obs.counts / vals
-    return g
+    return 1.0 - counts / vals
 
 
 def lipschitz_constant(region):

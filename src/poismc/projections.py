@@ -7,6 +7,11 @@ projection onto the intersection); it proves a clipped point already lies
 in the ball from the singular vectors of the previous ball step where it
 can, before paying for another SVD. ``svt`` soft-thresholds singular
 values, which is the exact proximal operator of the nuclear norm.
+
+The public functions check their arguments, then run an unchecked
+kernel (``_ball_step``, ``_svt``, ``_alternating_projection``). The
+solvers call the kernels directly on matrices they built themselves, so
+nothing is checked again inside their loops.
 """
 
 import math
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _svd, as_matrix, nuclear_norm
+from .core import _svd, as_matrix
 from .errors import BadRadius, BadTau, NoConvergence
 
 # Relative margin below the radius under which a computed upper bound on
@@ -77,10 +82,12 @@ def _ball_step(x, radius):
         return np.array(x), u, vt
     # s is sorted descending; find the largest active set k with
     # s_k > (cumsum_k - radius) / k, then theta makes the sum hit radius.
+    # In exact arithmetic index 1 is always active; for a radius below the
+    # rounding of s_1 the scan can lose it, and then k = 1 is the answer.
     css = np.cumsum(s)
     ks = np.arange(1, s.size + 1)
-    active = s - (css - radius) / ks > 0.0
-    k = int(np.nonzero(active)[0].max()) + 1
+    active = np.nonzero(s - (css - radius) / ks > 0.0)[0]
+    k = int(active[-1]) + 1 if active.size else 1
     theta = (css[k - 1] - radius) / k
     shrunk = np.maximum(s - theta, 0.0)
     return (u * shrunk) @ vt, u, vt
@@ -112,7 +119,11 @@ def svt(x, tau):
     """
     if tau < 0.0:
         raise BadTau(f"tau must be >= 0, got {tau}")
-    x = as_matrix(x)
+    return _svt(as_matrix(x), tau)
+
+
+def _svt(x, tau):
+    """``svt`` on a checked matrix and ``tau >= 0``."""
     u, s, vt = _svd(x)
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
@@ -160,17 +171,22 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    return _alternating_projection(as_matrix(u0, shape=region.shape), region,
+                                   tol, max_iter)
+
+
+def _alternating_projection(u, region, tol, max_iter):
+    """``alternating_projection`` on a checked matrix, ``tol`` and ``max_iter``."""
     radius = region.nuclear_radius
-    u = as_matrix(u0, shape=region.shape)
     noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
     inside = radius * (1.0 - BALL_TEST_GUARD)
     for j in range(1, max_iter + 1):
         if j == 2 and (_basis_bound(u, *factors) <= inside
-                       or nuclear_norm(u) <= inside):
+                       or float(_svd(u, compute_uv=False).sum()) <= inside):
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
         v, *factors = _ball_step(u, radius)
-        u = project_box(v, region)
+        u = np.clip(v, region.beta, region.alpha)
         gap = float(np.linalg.norm(v - u))
         if gap <= tol or gap <= noise * float(np.linalg.norm(u)):
             return ProjectionReport(result=u, iterations=j, final_gap=gap)

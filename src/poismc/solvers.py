@@ -15,9 +15,21 @@ Three schemes, all starting from the count-seeded initializer:
 
 pg and apg share one loop in which pg is apg with zero momentum. pmlsv
 keeps its own: its backtracking, majorization gaps and ``QGapSmall``
-exit share only the gradient call with the other two.
+exit share only the gradient step with the other two.
 alpha/beta**2 bounds the curvature of the objective on the box only when
 every count is at most alpha (see ``lipschitz_constant``).
+
+All three loops step on the sample set omega only. The gradient is zero
+off omega, and there ``z - 0.0 / L`` is ``z`` itself, so writing
+``z_ij - (1 - y_ij / z_ij) / L`` into the sampled cells of a copy of ``z``
+(``_gradient_step``) gives the bits of ``z - gradient(z, obs) / L``
+without building the dense gradient. ``ObservationSet`` rejects
+duplicate cells, so no cell is written twice. Counts are cast to float
+once per solve; the cast is exact below 2**53, so every product and
+quotient with them keeps its bits. Inputs are checked where they enter
+(``SolverConfig``, ``FeasibleRegion``, ``ObservationSet``, ``_start``);
+inside the loops the solvers call the unchecked kernels ``_svt`` and
+``_alternating_projection`` and clip with ``np.clip`` directly.
 
 Objective values are recorded after the projection of each iteration,
 so the trace length equals the number of iterations run.
@@ -30,8 +42,14 @@ import numpy as np
 
 from .core import as_matrix
 from .errors import BacktrackOverflow, NoConvergence, ProjectionFailure, ShapeMismatch
-from .likelihood import _sampled_nll, gradient, lipschitz_constant, neg_log_likelihood
-from .projections import alternating_projection, project_box, svt
+from .likelihood import (
+    _sampled_gradient,
+    _sampled_nll,
+    gradient,
+    lipschitz_constant,
+    neg_log_likelihood,
+)
+from .projections import _alternating_projection, _svt
 
 ALGORITHMS = ("pg", "apg", "pmlsv")
 
@@ -163,29 +181,50 @@ def _finish(algorithm, est, trace, termination, t_start, final_l, region,
 
 
 def _start(obs, region):
-    """Reject empty ``obs``; return the start time and M_0."""
+    """Per-solve setup: ``(t_start, M_0, flat, y)``.
+
+    Rejects an empty ``obs``. ``flat`` indexes the sampled cells of a
+    raveled matrix and ``y`` holds the counts as floats, both in the
+    stored sample order.
+    """
     if len(obs) == 0:
         raise ValueError("need at least one observation")
-    return time.perf_counter(), init_matrix(obs, region)
+    t_start = time.perf_counter()
+    m0 = init_matrix(obs, region)
+    return t_start, m0, obs.rows * obs.d2 + obs.cols, obs.counts.astype(float)
+
+
+def _gradient_step(z, zs, gs, l, flat):
+    """The gradient step ``z - gradient(z, obs) / l``, on the sampled cells.
+
+    ``zs`` is ``z`` at the sampled cells ``flat`` and ``gs`` the gradient
+    there. The result has the bits of the dense step (see the module
+    docstring).
+    """
+    w = z.copy()
+    w.ravel()[flat] = zs - gs / l
+    return w
 
 
 def _projected_gradient(algorithm, obs, region, cfg):
-    """Gradient step from ``z`` at 1/L, then ``alternating_projection``.
+    """Gradient step from ``z`` at 1/L, then the alternating projection.
 
     apg sets ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, pg ``z = M_k``.
-    A projection that does not close raises ``ProjectionFailure`` with
-    the report of the last good iterate.
+    The extrapolated ``z`` can leave the box, so its sampled entries are
+    checked for positivity every step. A projection that does not close
+    raises ``ProjectionFailure`` with the report of the last good iterate.
     """
     accelerate = algorithm == "apg"
-    t_start, m_prev = _start(obs, region)
+    t_start, m_prev, flat, y = _start(obs, region)
     lip = lipschitz_constant(region)
     z = m_prev
     trace = []
     for k in range(1, cfg.max_iter + 1):
-        w = z - gradient(z, obs) / lip
+        zs = z.ravel().take(flat)
+        w = _gradient_step(z, zs, _sampled_gradient(zs, y), lip, flat)
         try:
-            m = alternating_projection(
-                w, region, tol=cfg.proj_tol, max_iter=cfg.proj_max_iter
+            m = _alternating_projection(
+                w, region, cfg.proj_tol, cfg.proj_max_iter
             ).result
         except NoConvergence as exc:
             report = _finish(algorithm, m_prev, trace, "ProjectionFailure",
@@ -193,7 +232,7 @@ def _projected_gradient(algorithm, obs, region, cfg):
             raise ProjectionFailure(str(exc), report) from exc
         z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
         m_prev = m
-        trace.append(neg_log_likelihood(m, obs))
+        trace.append(_sampled_nll(m.ravel().take(flat), y))
     return _finish(algorithm, m_prev, trace, "MaxIter", t_start, lip, region)
 
 
@@ -207,20 +246,23 @@ def solve_apg(obs, region, cfg):
     return _projected_gradient("apg", obs, region, cfg)
 
 
-def _shrink_trial(l, m, x, g, lam, region, obs):
+def _shrink_trial(l, m, x, gs, lam, region, flat, y):
     """One pmlsv trial at reciprocal step size ``l``: ``(m_next, x_next, gap)``.
 
-    ``x`` and ``x_next`` are ``m`` and ``m_next`` at the sampled cells.
+    ``m_next = project_box(svt(m - gradient(m, obs) / l, lam / l), region)``
+    bit for bit, from ``m``'s sampled entries ``x`` and the gradient
+    ``gs`` there; ``x_next`` is ``m_next`` at the sampled cells ``flat``.
     ``gap = f(m_next) - Q(m_next, m)`` is computed as the likelihood's
     Bregman term ``sum(y * (r - log1p(r)))``, ``r = (x_next - x) / x``,
     minus ``(l/2) * ||m_next - m||_F**2``, so no two values of f cancel.
     The step is rejected when ``gap > 0``.
     """
-    m_next = project_box(svt(m - g / l, lam / l), region)
-    x_next = m_next[obs.rows, obs.cols]
+    m_next = _svt(_gradient_step(m, x, gs, l, flat), lam / l)
+    np.clip(m_next, region.beta, region.alpha, out=m_next)
+    x_next = m_next.ravel().take(flat)
     r = (x_next - x) / x
     diff = m_next - m
-    bregman = float(np.sum(obs.counts * (r - np.log1p(r))))
+    bregman = float(np.sum(y * (r - np.log1p(r))))
     return m_next, x_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
 
 
@@ -278,18 +320,17 @@ def solve_pmlsv(obs, region, cfg):
     by the quadratic model (``_backtrack``). The accepted L carries over
     to the next iteration. Terminates early once ``|f - Q| < 0.5 / max_iter``.
     """
-    t_start, m = _start(obs, region)
-    x = m[obs.rows, obs.cols]
+    t_start, m, flat, y = _start(obs, region)
+    x = m.ravel().take(flat)
     l = cfg.l0
     q_exit = 0.5 / cfg.max_iter
     trace = []
     gaps = []
     termination = "MaxIter"
     for _ in range(cfg.max_iter):
-        g = gradient(m, obs)
-        ctx = (m, x, g, cfg.lam, region, obs)
+        ctx = (m, x, _sampled_gradient(x, y), cfg.lam, region, flat, y)
         l, (m, x, gap) = _backtrack(l, ctx, cfg.eta)
-        trace.append(_sampled_nll(x, obs.counts))
+        trace.append(_sampled_nll(x, y))
         gaps.append(gap)
         if abs(gap) < q_exit:
             termination = "QGapSmall"

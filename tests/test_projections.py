@@ -129,6 +129,18 @@ def test_ball_idempotent_and_hits_radius():
         assert np.linalg.norm(p1 - p2) < 1e-9
 
 
+def test_ball_radius_below_the_rounding_of_the_top_singular_value():
+    # s_1 - (s_1 - radius) / 1 rounds to 0 here, so the breakpoint scan
+    # finds no active index; index 1 is active in exact arithmetic.
+    for x, radius in ((np.diag([1.0, 0.0]), 1e-17),
+                      (np.diag([3.0, 2.0, 1.0]), 1e-300),
+                      (np.ones((2, 3)), 1e-16)):
+        got = project_nuclear_ball(x, radius)
+        assert got.shape == x.shape
+        assert np.all(np.isfinite(got))
+        assert nuclear_norm(got) <= radius + 4 * np.finfo(float).eps * nuclear_norm(x)
+
+
 def test_ball_rejects_bad_radius():
     with pytest.raises(BadRadius):
         project_nuclear_ball(np.eye(2), 0.0)

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import poismc.core as core_mod
+import poismc.likelihood as likelihood_mod
 import poismc.projections as projections_mod
 import poismc.solvers as solvers_mod
 from poismc import (
@@ -13,6 +15,7 @@ from poismc import (
     ObservationSet,
     SolverConfig,
     SynthesisSpec,
+    alternating_projection,
     gradient,
     init_matrix,
     lipschitz_constant,
@@ -29,8 +32,16 @@ from poismc import (
     solve_apg,
     solve_pg,
     solve_pmlsv,
+    svt,
 )
-from poismc.errors import BacktrackOverflow, ProjectionFailure, ShapeMismatch
+from poismc.errors import (
+    BacktrackOverflow,
+    NoConvergence,
+    NonPositiveEntryAtObservation,
+    ProjectionFailure,
+    ShapeMismatch,
+)
+from poismc.likelihood import _sampled_gradient
 
 
 def one_by_one(y, alpha=3.0, beta=1.0):
@@ -322,8 +333,10 @@ def recorded_pmlsv(obs, reg, cfg):
     """Run ``solve_pmlsv`` and record every step search it makes.
 
     Returns the report and, per iteration, a dict with the search's
-    starting rung ``l_in``, its iterate ``m`` and gradient ``g``, the
-    returned rung ``l_out`` and ``probes``, the gap of every probed rung.
+    starting rung ``l_in``, its iterate ``m``, the dense gradient ``g``
+    there, the returned rung ``l_out`` and ``probes``, the gap of every
+    probed rung. ``g`` is rebuilt with ``gradient``, so the reference scan
+    never sees the solver's sampled one.
     """
     steps = []
     real_trial, real_backtrack = solvers_mod._shrink_trial, solvers_mod._backtrack
@@ -334,7 +347,8 @@ def recorded_pmlsv(obs, reg, cfg):
         return out
 
     def backtrack(l, ctx, eta):
-        steps.append(dict(l_in=l, m=ctx[0], g=ctx[2], probes={}))
+        m = ctx[0]
+        steps.append(dict(l_in=l, m=m, g=gradient(m, obs), probes={}))
         steps[-1]["l_out"], out = real_backtrack(l, ctx, eta)
         return steps[-1]["l_out"], out
 
@@ -431,13 +445,21 @@ def test_pmlsv_search_may_skip_an_isolated_accepted_rung():
     assert not steps[0]["probes"][2.56] > 0.0
 
 
+def trial_ctx(m, lam, obs, reg):
+    """``_shrink_trial``'s arguments after ``l`` at ``m``, built from the
+    dense gradient rather than by the solver."""
+    flat = obs.rows * obs.d2 + obs.cols
+    gs = gradient(m, obs)[obs.rows, obs.cols]
+    return (m, m[obs.rows, obs.cols], gs, lam, reg, flat,
+            obs.counts.astype(float))
+
+
 def test_shrink_trial_gap_is_f_minus_q():
     obs, reg, cfg = backtracking_instance()
     m = init_matrix(obs, reg)
-    x = m[obs.rows, obs.cols]
-    g = gradient(m, obs)
+    ctx = trial_ctx(m, cfg.lam, obs, reg)
     for l in (1e-3, 0.1, 1.0, 9.0, 100.0):
-        m_next, x_next, gap = solvers_mod._shrink_trial(l, m, x, g, cfg.lam, reg, obs)
+        m_next, x_next, gap = solvers_mod._shrink_trial(l, *ctx)
         assert np.array_equal(x_next, m_next[obs.rows, obs.cols])
         f = neg_log_likelihood(m_next, obs)
         q = quadratic_model(m_next, m, l, obs)
@@ -451,11 +473,9 @@ def test_pmlsv_backtracking_keeps_l_bounded_at_a_converged_iterate():
     # the gap has no such cancellation.
     obs, reg, _ = backtracking_instance()
     m = init_matrix(obs, reg)
-    x = m[obs.rows, obs.cols]
     l = 1e-4
     for _ in range(1000):
-        ctx = (m, x, gradient(m, obs), 10.0, reg, obs)
-        l, (m, x, _) = solvers_mod._backtrack(l, ctx, 1.1)
+        l, (m, _, _) = solvers_mod._backtrack(l, trial_ctx(m, 10.0, obs, reg), 1.1)
     assert obs.counts.max() / reg.beta**2 == 14.0
     assert l <= 14.0
 
@@ -504,6 +524,132 @@ def test_pmlsv_backtrack_overflow(monkeypatch):
             obs, reg,
             SolverConfig(algorithm="pmlsv", max_iter=5, lam=0.1, l0=1e-8, eta=2.0),
         )
+
+
+# --- sampled-cell steps --------------------------------------------------------------
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def sampled_instances(draw):
+    """A region, observations on 1..d1*d2 cells in a random stored order,
+    and a box point ``m``."""
+    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    beta = draw(st.floats(0.1, 3.0))
+    alpha = beta * draw(st.floats(1.0, 10.0))
+    reg = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta,
+                         r=draw(st.integers(1, min(d1, d2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.permutation(d1 * d2)[:draw(st.integers(1, d1 * d2))]
+    counts = rng.poisson(rng.uniform(beta, alpha, cells.size))
+    obs = ObservationSet(d1=d1, d2=d2, rows=cells // d2, cols=cells % d2,
+                         counts=counts)
+    return obs, reg, rng.uniform(beta, alpha, (d1, d2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_instances(), st.floats(-8.0, 8.0))
+def test_gradient_step_is_the_dense_step_bit_for_bit(case, log_l):
+    # Off the sample set z may leave the box, as apg's extrapolated point may.
+    obs, reg, m = case
+    l = 10.0 ** log_l
+    z = np.where(obs.mask(), m, -m)
+    _, _, flat, y = solvers_mod._start(obs, reg)
+    zs = z.ravel().take(flat)
+    w = solvers_mod._gradient_step(z, zs, _sampled_gradient(zs, y), l, flat)
+    assert same_bits(w, z - gradient(z, obs) / l)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sampled_instances(), st.floats(-8.0, 8.0),
+       st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e)))
+def test_shrink_trial_is_the_dense_trial_bit_for_bit(case, log_l, lam):
+    obs, reg, m = case
+    l = 10.0 ** log_l
+    _, _, flat, y = solvers_mod._start(obs, reg)
+    x = m.ravel().take(flat)
+    ctx = (m, x, _sampled_gradient(x, y), lam, reg, flat, y)
+    m_next, x_next, _ = solvers_mod._shrink_trial(l, *ctx)
+    want = project_box(svt(m - gradient(m, obs) / l, lam / l), reg)
+    assert same_bits(m_next, want)
+    assert same_bits(x_next, want[obs.rows, obs.cols])
+
+
+def dense_projected_gradient(obs, reg, cfg, accelerate):
+    """The pg/apg loop with the dense gradient and the public operators.
+
+    Returns ``(estimate, trace, error)``: the last good iterate, the
+    objective trace and the type of the error that stopped the loop.
+    """
+    lip = lipschitz_constant(reg)
+    m_prev = init_matrix(obs, reg)
+    z, trace = m_prev, []
+    for k in range(1, cfg.max_iter + 1):
+        try:
+            w = z - gradient(z, obs) / lip
+            m = alternating_projection(w, reg, tol=cfg.proj_tol,
+                                       max_iter=cfg.proj_max_iter).result
+        except NoConvergence:
+            return m_prev, np.asarray(trace), ProjectionFailure
+        except NonPositiveEntryAtObservation:
+            return None, None, NonPositiveEntryAtObservation
+        z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
+        m_prev = m
+        trace.append(neg_log_likelihood(m, obs))
+    return m_prev, np.asarray(trace), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampled_instances(), st.sampled_from(["pg", "apg"]))
+def test_pg_and_apg_match_the_dense_loop_bit_for_bit(case, algorithm):
+    obs, reg, _ = case
+    cfg = SolverConfig(algorithm=algorithm, max_iter=30)
+    want = dense_projected_gradient(obs, reg, cfg, algorithm == "apg")
+    try:
+        rep = solve(obs, reg, cfg)
+        got = rep.estimate, rep.objective_trace, None
+    except ProjectionFailure as exc:
+        got = exc.report.estimate, exc.report.objective_trace, ProjectionFailure
+    except NonPositiveEntryAtObservation:
+        got = None, None, NonPositiveEntryAtObservation
+    assert got[2] is want[2]
+    if want[0] is not None:
+        assert same_bits(got[0], want[0])
+        assert same_bits(got[1], want[1])
+
+
+def count_as_matrix(monkeypatch):
+    calls = []
+    real = core_mod.as_matrix
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for mod in (solvers_mod, projections_mod, likelihood_mod):
+        monkeypatch.setattr(mod, "as_matrix", counted)
+    return calls
+
+
+def test_solvers_validate_once_per_solve_not_per_iteration(monkeypatch):
+    # At lam = 0.1 the pmlsv run stops with QGapSmall after one iteration
+    # whatever max_iter is; lam = 1 gives it five.
+    calls = count_as_matrix(monkeypatch)
+    pm_obs, pm_reg, pm_cfg = backtracking_instance()
+    pg_obs, pg_reg = binding_instance(0)
+    cases = ((pm_obs, pm_reg, dataclasses.replace(pm_cfg, lam=1.0), 5),
+             (pg_obs, pg_reg, SolverConfig(algorithm="pg"), 20))
+    for obs, reg, cfg, iterations in cases:
+        made = []
+        for n in (1, 20):
+            calls.clear()
+            rep = solve(obs, reg, dataclasses.replace(cfg, max_iter=n))
+            assert rep.iterations_run == min(n, iterations)
+            made.append(len(calls))
+        assert made[0] == made[1], cfg.algorithm
 
 
 # --- failure propagation -----------------------------------------------------------
