@@ -288,6 +288,7 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = SolverConfig()
 
     def add_region(p):
         p.add_argument("--d1", type=int, required=True, help="row count")
@@ -297,7 +298,6 @@ def build_parser():
         p.add_argument("--beta", type=float, required=True, help="entry lower bound")
 
     def add_solver(p):
-        defaults = SolverConfig()
         p.add_argument("--iters", type=int, default=defaults.max_iter,
                        help="iteration cap")
         p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
@@ -318,12 +318,12 @@ def build_parser():
     add_region(p)
     p.add_argument("--algo", choices=("pg", "apg", "pmlsv"), default="pmlsv")
     add_solver(p)
-    p.add_argument("--proj-tol", type=float, default=1e-6,
+    p.add_argument("--proj-tol", type=float, default=defaults.proj_tol,
                    help="feasibility projection tolerance (pg/apg); gaps at or "
                         "below the float64 noise floor 4*sqrt(d1*d2)*eps*||M||_F "
                         "also close, so a smaller value changes nothing, and a box "
                         "point already inside the nuclear ball closes with gap 0")
-    p.add_argument("--proj-max-iter", type=int, default=500,
+    p.add_argument("--proj-max-iter", type=int, default=defaults.proj_max_iter,
                    help="feasibility projection iteration cap (pg/apg)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--truth", default=None, help="truth CSV for scoring")

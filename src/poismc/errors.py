@@ -2,7 +2,18 @@
 
 
 class PoismcError(Exception):
-    """Base class for every error this package raises deliberately."""
+    """Base class for every error this package raises deliberately.
+
+    ``report`` is ``None`` unless the error left a loop that had a last
+    good state to hand back. ``NoConvergence`` carries the
+    ``ProjectionReport`` of the last sweep. An error raised inside a
+    solver's iterations carries the ``SolverReport`` of the last good
+    iterate, with ``termination`` set to the error's class name.
+    """
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 # --- region / input validation ---------------------------------------------
@@ -55,10 +66,6 @@ class NoConvergence(PoismcError):
     Carries the partial result in ``.report``.
     """
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
-
 
 # --- solvers -----------------------------------------------------------------
 
@@ -67,10 +74,6 @@ class ProjectionFailure(PoismcError):
 
     Carries the partial solver state in ``.report``.
     """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class BacktrackOverflow(PoismcError):

@@ -41,6 +41,12 @@ BALL_TEST_GUARD = 1e-9
 # sqrt(d1*d2) * eps * ||U||_F; gaps at or below it count as closed.
 GAP_NOISE_FACTOR = 4.0
 
+# Below this Frobenius norm, squares of entries under about 1.5e-154 may
+# have lost bits or underflowed to 0, so ``_fro_norm`` recomputes the
+# norm from the matrix scaled to a largest entry of 1. Above it each such
+# square is under 3e-28 of the squared norm.
+TINY_NORM = 1e-140
+
 
 @dataclass(frozen=True)
 class ProjectionReport:
@@ -112,6 +118,15 @@ def _basis_bound(x, u, vt):
     return scale * float(np.linalg.norm(u.T @ x, axis=1).sum())
 
 
+def _fro_norm(x):
+    """``np.linalg.norm(x)``, also where squares of the entries underflow."""
+    norm = float(np.linalg.norm(x))
+    if norm < TINY_NORM:
+        scale = float(np.abs(x).max()) or 1.0
+        norm = scale * float(np.linalg.norm(x / scale))
+    return norm
+
+
 def svt(x, tau):
     """Shrink every singular value by ``tau`` and clip at zero.
 
@@ -134,9 +149,10 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     Iterates ``V_j = ball(U_{j-1})``, ``U_j = box(V_j)`` and stops once
     ``||V_j - U_j||_F <= max(tol, 4 * sqrt(d1*d2) * eps * ||U_j||_F)``.
     The second term is the float64 rounding noise of the gap, so a
-    ``tol`` below it cannot make the loop spin on noise. The returned
-    point lies exactly in the box and within that distance (Frobenius)
-    of the nuclear ball.
+    ``tol`` below it cannot make the loop spin on noise. Both norms are
+    taken so that tiny entries do not underflow (``_fro_norm``). The
+    returned point lies exactly in the box and within that distance
+    (Frobenius) of the nuclear ball.
 
     The second sweep starts from a box point, ``U_1``. If it already lies
     in the ball, the sweep would return it unchanged with gap 0 whatever
@@ -187,8 +203,8 @@ def _alternating_projection(u, region, tol, max_iter):
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
         v, *factors = _ball_step(u, radius)
         u = np.clip(v, region.beta, region.alpha)
-        gap = float(np.linalg.norm(v - u))
-        if gap <= tol or gap <= noise * float(np.linalg.norm(u)):
+        gap = _fro_norm(v - u)
+        if gap <= tol or gap <= noise * _fro_norm(u):
             return ProjectionReport(result=u, iterations=j, final_gap=gap)
     report = ProjectionReport(result=u, iterations=max_iter, final_gap=gap)
     raise NoConvergence(

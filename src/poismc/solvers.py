@@ -13,13 +13,14 @@ Three schemes, all starting from the count-seeded initializer:
   stable test of TFOCS, Becker, Candes & Grant 2011), so rounding noise
   near the optimum does not reject steps and push L up.
 
-pg and apg share one loop in which pg is apg with zero momentum. pmlsv
-keeps its own: its backtracking, majorization gaps and ``QGapSmall``
-exit share only the gradient step with the other two.
-alpha/beta**2 bounds the curvature of the objective on the box only when
-every count is at most alpha (see ``lipschitz_constant``).
+All three run one proximal-gradient loop (``_proximal_gradient``). The
+schemes differ in the momentum (apg's, or none), the prox step
+(alternating projection at the fixed 1/L, or shrinkage and clipping at
+a backtracked L) and pmlsv's ``QGapSmall`` exit; pg is apg with zero
+momentum. alpha/beta**2 bounds the curvature of the objective on the
+box only when every count is at most alpha (see ``lipschitz_constant``).
 
-All three loops step on the sample set omega only. The gradient is zero
+The loop steps on the sample set omega only. The gradient is zero
 off omega, and there ``z - 0.0 / L`` is ``z`` itself, so writing
 ``z_ij - (1 - y_ij / z_ij) / L`` into the sampled cells of a copy of ``z``
 (``_gradient_step``) gives the bits of ``z - gradient(z, obs) / L``
@@ -28,11 +29,13 @@ duplicate cells, so no cell is written twice. Counts are cast to float
 once per solve; the cast is exact below 2**53, so every product and
 quotient with them keeps its bits. Inputs are checked where they enter
 (``SolverConfig``, ``FeasibleRegion``, ``ObservationSet``, ``_start``);
-inside the loops the solvers call the unchecked kernels ``_svt`` and
+inside the loop the solvers call the unchecked kernels ``_svt`` and
 ``_alternating_projection`` and clip with ``np.clip`` directly.
 
-Objective values are recorded after the projection of each iteration,
-so the trace length equals the number of iterations run.
+Objective values are recorded after the prox step of each iteration,
+so the trace length equals the number of iterations run. A run either
+returns its report or raises a ``PoismcError`` that carries the report
+of the last good iterate (see ``solve``).
 """
 
 import time
@@ -41,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_matrix
-from .errors import BacktrackOverflow, NoConvergence, ProjectionFailure, ShapeMismatch
+from .errors import (BacktrackOverflow, NoConvergence, PoismcError,
+                     ProjectionFailure, ShapeMismatch)
 from .likelihood import (
     _sampled_gradient,
     _sampled_nll,
@@ -161,21 +165,16 @@ def quadratic_model(m, m_prev, t, obs):
     return f_prev + float(np.vdot(diff, g)) + 0.5 * t * float(np.vdot(diff, diff))
 
 
-def _box_active_fraction(x, region):
-    return float(np.mean((x <= region.beta) | (x >= region.alpha)))
-
-
-def _finish(algorithm, est, trace, termination, t_start, final_l, region,
-            gaps=None):
+def _finish(algorithm, m, trace, termination, t_start, final_l, region, gaps):
     return SolverReport(
         algorithm=algorithm,
-        estimate=est,
+        estimate=m,
         objective_trace=np.asarray(trace),
         iterations_run=len(trace),
         termination=termination,
         wall_time=time.perf_counter() - t_start,
         final_l=final_l,
-        box_active_fraction=_box_active_fraction(est, region),
+        box_active_fraction=float(np.mean((m <= region.beta) | (m >= region.alpha))),
         majorization_gaps=None if gaps is None else np.asarray(gaps),
     )
 
@@ -204,46 +203,6 @@ def _gradient_step(z, zs, gs, l, flat):
     w = z.copy()
     w.ravel()[flat] = zs - gs / l
     return w
-
-
-def _projected_gradient(algorithm, obs, region, cfg):
-    """Gradient step from ``z`` at 1/L, then the alternating projection.
-
-    apg sets ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, pg ``z = M_k``.
-    The extrapolated ``z`` can leave the box, so its sampled entries are
-    checked for positivity every step. A projection that does not close
-    raises ``ProjectionFailure`` with the report of the last good iterate.
-    """
-    accelerate = algorithm == "apg"
-    t_start, m_prev, flat, y = _start(obs, region)
-    lip = lipschitz_constant(region)
-    z = m_prev
-    trace = []
-    for k in range(1, cfg.max_iter + 1):
-        zs = z.ravel().take(flat)
-        w = _gradient_step(z, zs, _sampled_gradient(zs, y), lip, flat)
-        try:
-            m = _alternating_projection(
-                w, region, cfg.proj_tol, cfg.proj_max_iter
-            ).result
-        except NoConvergence as exc:
-            report = _finish(algorithm, m_prev, trace, "ProjectionFailure",
-                             t_start, lip, region)
-            raise ProjectionFailure(str(exc), report) from exc
-        z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
-        m_prev = m
-        trace.append(_sampled_nll(m.ravel().take(flat), y))
-    return _finish(algorithm, m_prev, trace, "MaxIter", t_start, lip, region)
-
-
-def solve_pg(obs, region, cfg):
-    """Projected gradient descent at fixed step 1/L."""
-    return _projected_gradient("pg", obs, region, cfg)
-
-
-def solve_apg(obs, region, cfg):
-    """Accelerated projected gradient with (k-1)/(k+2) momentum."""
-    return _projected_gradient("apg", obs, region, cfg)
 
 
 def _shrink_trial(l, m, x, gs, lam, region, flat, y):
@@ -311,6 +270,67 @@ def _backtrack(l, ctx, eta):
     return l, trial
 
 
+def _proximal_gradient(algorithm, obs, region, cfg):
+    """The loop of all three schemes, from ``z = M_0``.
+
+    Each iteration gathers ``z`` on the sampled cells once, evaluates the
+    gradient there and takes the prox step: pg and apg project the
+    gradient step at 1/L, pmlsv runs ``_backtrack``. apg then sets
+    ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, which can leave the box
+    (the gradient's positivity check catches that), the others
+    ``z = M_k``. A ``PoismcError`` leaves with the report of the last
+    good iterate; a ``NoConvergence`` leaves as ``ProjectionFailure``.
+    """
+    t_start, m, flat, y = _start(obs, region)
+    pmlsv, accelerate = algorithm == "pmlsv", algorithm == "apg"
+    l = cfg.l0 if pmlsv else lipschitz_constant(region)
+    z = m_prev = m
+    x = m.ravel().take(flat)
+    trace, gaps = [], [] if pmlsv else None
+    termination = "MaxIter"
+    try:
+        for k in range(1, cfg.max_iter + 1):
+            # Where z is the iterate, the last step gathered it already.
+            zs = x if z is m else z.ravel().take(flat)
+            gs = _sampled_gradient(zs, y)
+            # m, x and l change only once a step succeeds, so a failing
+            # step leaves the last good iterate in m.
+            if pmlsv:
+                ctx = (z, zs, gs, cfg.lam, region, flat, y)
+                l, (m, x, gap) = _backtrack(l, ctx, cfg.eta)
+                gaps.append(gap)
+            else:
+                w = _gradient_step(z, zs, gs, l, flat)
+                m = _alternating_projection(
+                    w, region, cfg.proj_tol, cfg.proj_max_iter
+                ).result
+                x = m.ravel().take(flat)
+            z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
+            m_prev = m
+            trace.append(_sampled_nll(x, y))
+            if pmlsv and abs(gap) < 0.5 / cfg.max_iter:
+                termination = "QGapSmall"
+                break
+    except PoismcError as exc:
+        err = ProjectionFailure(str(exc)) if isinstance(exc, NoConvergence) else exc
+        err.report = _finish(algorithm, m, trace, type(err).__name__, t_start,
+                             l, region, gaps)
+        if err is exc:
+            raise
+        raise err from exc
+    return _finish(algorithm, m, trace, termination, t_start, l, region, gaps)
+
+
+def solve_pg(obs, region, cfg):
+    """Projected gradient descent at fixed step 1/L."""
+    return _proximal_gradient("pg", obs, region, cfg)
+
+
+def solve_apg(obs, region, cfg):
+    """Accelerated projected gradient with (k-1)/(k+2) momentum."""
+    return _proximal_gradient("apg", obs, region, cfg)
+
+
 def solve_pmlsv(obs, region, cfg):
     """Regularized singular-value shrinkage with backtracking.
 
@@ -320,25 +340,21 @@ def solve_pmlsv(obs, region, cfg):
     by the quadratic model (``_backtrack``). The accepted L carries over
     to the next iteration. Terminates early once ``|f - Q| < 0.5 / max_iter``.
     """
-    t_start, m, flat, y = _start(obs, region)
-    x = m.ravel().take(flat)
-    l = cfg.l0
-    q_exit = 0.5 / cfg.max_iter
-    trace = []
-    gaps = []
-    termination = "MaxIter"
-    for _ in range(cfg.max_iter):
-        ctx = (m, x, _sampled_gradient(x, y), cfg.lam, region, flat, y)
-        l, (m, x, gap) = _backtrack(l, ctx, cfg.eta)
-        trace.append(_sampled_nll(x, y))
-        gaps.append(gap)
-        if abs(gap) < q_exit:
-            termination = "QGapSmall"
-            break
-    return _finish("pmlsv", m, trace, termination, t_start, l, region, gaps=gaps)
+    return _proximal_gradient("pmlsv", obs, region, cfg)
 
 
 def solve(obs, region, cfg):
-    """Dispatch on ``cfg.algorithm``."""
+    """Dispatch on ``cfg.algorithm``.
+
+    A run ends in one of two ways. It returns a ``SolverReport`` whose
+    estimate lies in the box, with ``termination`` ``"MaxIter"`` or
+    (pmlsv) ``"QGapSmall"``. Or it raises a ``PoismcError`` whose
+    ``report`` is the ``SolverReport`` of the last good iterate, also in
+    the box, with ``termination`` the error's class name
+    (``ProjectionFailure``, ``BacktrackOverflow``, ``SvdFailure`` or
+    ``NonPositiveEntryAtObservation``). Bad inputs are rejected before
+    the first iterate exists, with no report: ``ShapeMismatch``, or a
+    ``ValueError`` for an empty sample set.
+    """
     fn = {"pg": solve_pg, "apg": solve_apg, "pmlsv": solve_pmlsv}[cfg.algorithm]
     return fn(obs, region, cfg)

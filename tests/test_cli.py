@@ -4,8 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from poismc import FeasibleRegion, init_matrix, lower_bound, nuclear_norm, upper_bound
-from poismc.cli import default_demo_image, main
+from poismc import (
+    FeasibleRegion, SolverConfig, init_matrix, lower_bound, nuclear_norm, upper_bound,
+)
+from poismc.cli import build_parser, default_demo_image, main
 from poismc.fileio import (
     read_json, read_matrix_csv, read_observations_csv, write_observations_csv,
 )
@@ -122,6 +124,21 @@ def test_complete_solver_failure_exit_3(tmp_path, capsys):
     assert "after 1 iterations" in capsys.readouterr().err
     assert not (out / "estimate.csv").exists()
     assert not (out / "report.json").exists()
+
+
+def test_solver_flag_defaults_come_from_solver_config():
+    # Parser dest -> SolverConfig field, for every solver flag a command has.
+    pmlsv_flags = {"iters": "max_iter", "lam": "lam", "l0": "l0", "eta": "eta"}
+    proj_flags = {"proj_tol": "proj_tol", "proj_max_iter": "proj_max_iter"}
+    region = ["--d1", "2", "--d2", "2", "--rank", "1", "--alpha", "3", "--beta", "1"]
+    cases = ((["complete", "--obs", "obs.csv", *region], pmlsv_flags | proj_flags),
+             (["demo-solar"], pmlsv_flags))
+    defaults = SolverConfig()
+    for argv, flags in cases:
+        args = vars(build_parser().parse_args(argv))
+        assert set(args) & set(pmlsv_flags | proj_flags) == set(flags), argv[0]
+        for dest, field in flags.items():
+            assert args[dest] == getattr(defaults, field), (argv[0], dest)
 
 
 # --- bounds --------------------------------------------------------------------

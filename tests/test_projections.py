@@ -272,6 +272,21 @@ def test_altproj_no_convergence_carries_report():
     assert membership(rep.result, reg).in_box
 
 
+def test_altproj_gap_does_not_underflow_at_tiny_scales():
+    # Scaled by 2**-540 the entries of V - U square to 0, so a plain
+    # Frobenius norm read the gap as 0 and closed after one sweep with
+    # the result 0.7% outside the ball. The unscaled call takes 10 sweeps.
+    obs, reg = binding_instance(0)
+    u0 = init_matrix(obs, reg)
+    want = alternating_projection(u0, reg, tol=1e-300)
+    s = 2.0**-540
+    tiny = region(reg.d1, reg.d2, alpha=reg.alpha * s, beta=reg.beta * s, r=reg.r)
+    rep = alternating_projection(u0 * s, tiny, tol=1e-300)
+    assert rep.iterations == want.iterations == 10
+    assert 0.0 < rep.final_gap / s < 1e-12
+    assert nuclear_norm(rep.result) <= tiny.nuclear_radius * (1.0 + 1e-12)
+
+
 def altproj_reference(u0, reg, tol, max_iter):
     """Plain ball-then-box loop: a full SVD on every sweep, same closing rule."""
     u = np.asarray(u0, dtype=float)

@@ -40,6 +40,7 @@ from poismc.errors import (
     NonPositiveEntryAtObservation,
     ProjectionFailure,
     ShapeMismatch,
+    SvdFailure,
 )
 from poismc.likelihood import _sampled_gradient
 
@@ -360,8 +361,11 @@ def recorded_pmlsv(obs, reg, cfg):
 
 
 def test_pmlsv_backtracking_raises_l_and_keeps_majorization():
+    # At the instance's lam = 0.1 the run stops with QGapSmall after one
+    # step; at lam = 1 it accepts ten, and every one must be majorized.
     obs, reg, cfg = backtracking_instance()
-    rep = solve_pmlsv(obs, reg, cfg)
+    rep = solve_pmlsv(obs, reg, dataclasses.replace(cfg, lam=1.0))
+    assert rep.iterations_run > 1
     assert rep.final_l > cfg.l0
     assert rep.majorization_gaps is not None
     assert np.all(rep.majorization_gaps <= 0.0)
@@ -666,6 +670,64 @@ def test_projection_failure_carries_partial_report():
     rep = excinfo.value.report
     assert rep.termination == "ProjectionFailure"
     assert rep.iterations_run == 0
+
+
+def fail_on_call(n, real, error):
+    """``real``, except that its n-th call raises ``error``."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == n:
+            raise error(f"forced on call {n}")
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+FORCED_FAILURES = [
+    ("pg", ProjectionFailure), ("apg", ProjectionFailure),
+    ("pmlsv", BacktrackOverflow),
+    *[(algorithm, error) for error in (SvdFailure, NonPositiveEntryAtObservation)
+      for algorithm in ("pg", "apg", "pmlsv")],
+]
+
+
+@pytest.mark.parametrize("algorithm, error", FORCED_FAILURES)
+def test_failures_carry_the_last_good_iterate(monkeypatch, algorithm, error):
+    # Each error is forced part way through a run; its report must be the
+    # uninterrupted run's state after the last completed iteration.
+    if algorithm == "pmlsv":
+        obs, reg, cfg = backtracking_instance()
+        cfg = dataclasses.replace(cfg, lam=1.0)
+    else:
+        obs, reg = binding_instance(1)
+        cfg = SolverConfig(algorithm=algorithm, max_iter=20)
+    full = solve(obs, reg, cfg)
+    if error is ProjectionFailure:
+        # The first two projections close in 4 sweeps, the third needs 5.
+        cfg = dataclasses.replace(cfg, proj_max_iter=4)
+    elif error is BacktrackOverflow:
+        monkeypatch.setattr(solvers_mod, "BACKTRACK_L_CAP", full.final_l / 1.01)
+    elif error is SvdFailure:
+        monkeypatch.setattr(projections_mod, "_svd",
+                            fail_on_call(20, projections_mod._svd, error))
+    else:
+        monkeypatch.setattr(solvers_mod, "_sampled_gradient",
+                            fail_on_call(4, _sampled_gradient, error))
+    with pytest.raises(error) as excinfo:
+        solve(obs, reg, cfg)
+    if error is ProjectionFailure:
+        assert isinstance(excinfo.value.__cause__, NoConvergence)
+    rep = excinfo.value.report
+    k = rep.iterations_run
+    assert rep.termination == error.__name__
+    assert 1 <= k < full.iterations_run
+    assert len(rep.objective_trace) == k
+    assert same_bits(rep.objective_trace, full.objective_trace[:k])
+    assert not np.isnan(rep.estimate).any()
+    assert reg.beta <= rep.estimate.min() and rep.estimate.max() <= reg.alpha
+    assert neg_log_likelihood(rep.estimate, obs) == rep.objective_trace[-1]
 
 
 def test_tiny_proj_tol_closes_on_rounding_noise():
