@@ -32,7 +32,6 @@ from .solvers import (
     SolverConfig,
     SolverReport,
     init_matrix,
-    quadratic_model,
     solve,
     solve_apg,
     solve_pg,

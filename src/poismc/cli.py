@@ -10,11 +10,14 @@ Every file-writing command drops a ``manifest.json`` next to its
 outputs; re-running through the manifest reproduces the artifacts.
 All randomness flows from ``--seed``.
 
-Exit codes: 0 ok, 1 I/O failure, 2 validation, 3 solver failure,
-4 verification violation.
+Exit codes: 0 ok, 1 I/O failure, 2 validation, 3 the error carries a
+report (a solve failed after its first iterate; ``complete`` then writes
+that report, the last good iterate's, to ``report.json``), 4
+verification violation.
 """
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -25,16 +28,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundConstants, lower_bound, upper_bound
 from .core import FeasibleRegion, mse_per_entry
-from .errors import (
-    BacktrackOverflow,
-    CorruptFile,
-    IoFailure,
-    NoConvergence,
-    PoismcError,
-    ProjectionFailure,
-    SvdFailure,
-    UnsupportedFormat,
-)
+from .errors import CorruptFile, IoFailure, PoismcError, UnsupportedFormat
 from .fileio import (
     read_json,
     read_matrix_csv,
@@ -55,8 +49,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
 
-_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat)
-_SOLVER_ERRORS = (ProjectionFailure, BacktrackOverflow, SvdFailure, NoConvergence)
+_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat, FileNotFoundError)
 
 
 def default_demo_image():
@@ -74,7 +67,16 @@ def _ensure_out(path):
     return path
 
 
-def _write_manifest(out_dir, command, argv, seed, outputs):
+def _write_outputs(out, command, argv, seed, outputs, report=None):
+    """Write ``manifest.json`` listing ``outputs``, after ``report.json`` if given.
+
+    ``report`` is the body of ``report.json``; ``schema_version`` and
+    ``command`` are filled in here.
+    """
+    if report is not None:
+        report = {"schema_version": SCHEMA_VERSION, "command": command, **report}
+        write_json(report, os.path.join(out, "report.json"))
+        outputs = [*outputs, "report.json"]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "poismc",
@@ -84,13 +86,19 @@ def _write_manifest(out_dir, command, argv, seed, outputs):
         "seed": seed,
         "outputs": sorted(outputs),
     }
-    write_json(manifest, os.path.join(out_dir, "manifest.json"))
+    write_json(manifest, os.path.join(out, "manifest.json"))
 
 
 def _region_from_args(args):
     return FeasibleRegion(
         d1=args.d1, d2=args.d2, alpha=args.alpha, beta=args.beta, r=args.rank
     )
+
+
+def _solver_config(args):
+    """``SolverConfig`` from the fields a command declares as flags."""
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 # --- subcommands -----------------------------------------------------------
@@ -108,8 +116,8 @@ def cmd_simulate(args, argv):
     obs = sample_poisson(truth, mask, args.seed, m_expected=args.m)
     write_matrix_csv(truth, os.path.join(out, "truth.csv"))
     write_observations_csv(obs, os.path.join(out, "observations.csv"))
-    _write_manifest(out, "simulate", argv, args.seed,
-                    ["truth.csv", "observations.csv"])
+    _write_outputs(out, "simulate", argv, args.seed,
+                   ["truth.csv", "observations.csv"])
     print(f"simulate: wrote {len(obs)} observations to {out}")
     return EXIT_OK
 
@@ -117,34 +125,26 @@ def cmd_simulate(args, argv):
 def cmd_complete(args, argv):
     region = _region_from_args(args)
     obs = read_observations_csv(args.obs, args.d1, args.d2)
-    cfg = SolverConfig(
-        algorithm=args.algo,
-        max_iter=args.iters,
-        lam=args.lam,
-        l0=args.l0,
-        eta=args.eta,
-        proj_tol=args.proj_tol,
-        proj_max_iter=args.proj_max_iter,
-    )
+    cfg = _solver_config(args)
     if args.baseline and args.truth is None:
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     out = _ensure_out(args.out)
-    report = solve(obs, region, cfg)
+    try:
+        report = solve(obs, region, cfg)
+    except PoismcError as exc:
+        if exc.report is not None:
+            _write_outputs(out, "complete", argv, args.seed, [],
+                           {"solver": exc.report.to_json_dict()})
+        raise
     write_matrix_csv(report.estimate, os.path.join(out, "estimate.csv"))
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "complete",
-        "solver": report.to_json_dict(),
-    }
+    payload = {"solver": report.to_json_dict()}
     if args.truth is not None:
         truth = read_matrix_csv(args.truth)
         payload["mse"] = mse_per_entry(truth, report.estimate)
         if args.baseline:
             baseline = np.full(region.shape, (args.alpha + args.beta) / 2.0)
             payload["baseline_mse"] = mse_per_entry(truth, baseline)
-    write_json(payload, os.path.join(out, "report.json"))
-    _write_manifest(out, "complete", argv, args.seed,
-                    ["estimate.csv", "report.json"])
+    _write_outputs(out, "complete", argv, args.seed, ["estimate.csv"], payload)
     print(
         f"complete: {report.algorithm} ran {report.iterations_run} iterations "
         f"({report.termination}) in {report.wall_time:.3f}s"
@@ -197,7 +197,7 @@ def cmd_verify(args, argv):
     out = _ensure_out(args.out)
     report = verify_lemmas(region, args.samples, args.seed)
     write_json(report, os.path.join(out, "verify.json"))
-    _write_manifest(out, "verify", argv, args.seed, ["verify.json"])
+    _write_outputs(out, "verify", argv, args.seed, ["verify.json"])
     deterministic_violations = (
         report["kl_quadratic"]["violations"]
         + report["hellinger_mse_floor"]["violations"]
@@ -214,48 +214,36 @@ def cmd_verify(args, argv):
 
 def cmd_demo_solar(args, argv):
     image = read_image(args.image if args.image else default_demo_image())
-    cfg = SolverConfig(
-        algorithm="pmlsv",
-        max_iter=args.iters,
-        lam=args.lam,
-        l0=args.l0,
-        eta=args.eta,
-    )
     out = _ensure_out(args.out)
     rec = recover_image(
         image,
         args.p,
-        cfg,
+        _solver_config(args),
         seed=args.seed,
         patch=args.patch,
         scale=args.scale,
         alpha=args.alpha,
         beta=args.beta,
     )
-    region, layout = rec.region, rec.layout
-    truth_img = unpatchify(to_display(rec.truth, region), layout)
-    # Observed view: counts where sampled, dark where missing.
     counts = np.zeros(rec.truth.shape)
     obs = rec.observations
     counts[obs.rows, obs.cols] = obs.counts
-    observed = np.where(rec.mask, to_display(counts, region), 0)
-    observed_img = unpatchify(observed, layout)
-    recovered_img = unpatchify(to_display(rec.estimate, region), layout)
-    write_image(truth_img, os.path.join(out, "truth.pgm"))
-    write_image(observed_img.astype(np.int64), os.path.join(out, "observed.pgm"))
-    write_image(recovered_img, os.path.join(out, "recovered.pgm"))
+    views = {
+        "truth.pgm": to_display(rec.truth, rec.region),
+        # Observed view: counts where sampled, dark where missing.
+        "observed.pgm": np.where(rec.mask, to_display(counts, rec.region), 0),
+        "recovered.pgm": to_display(rec.estimate, rec.region),
+    }
+    for name, view in views.items():
+        write_image(unpatchify(view, rec.layout), os.path.join(out, name))
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "demo-solar",
         "p": args.p,
         "mse": rec.mse,
         "baseline_mse": rec.baseline_mse,
         "wall_time_sec": rec.wall_time,
         "solver": rec.report.to_json_dict(),
     }
-    write_json(payload, os.path.join(out, "report.json"))
-    _write_manifest(out, "demo-solar", argv, args.seed,
-                    ["truth.pgm", "observed.pgm", "recovered.pgm", "report.json"])
+    _write_outputs(out, "demo-solar", argv, args.seed, list(views), payload)
     print(
         f"demo-solar: p={args.p} mse={rec.mse:.4f} "
         f"baseline={rec.baseline_mse:.4f} wall={rec.wall_time:.3f}s"
@@ -298,8 +286,8 @@ def build_parser():
         p.add_argument("--beta", type=float, required=True, help="entry lower bound")
 
     def add_solver(p):
-        p.add_argument("--iters", type=int, default=defaults.max_iter,
-                       help="iteration cap")
+        p.add_argument("--iters", dest="max_iter", metavar="ITERS", type=int,
+                       default=defaults.max_iter, help="iteration cap")
         p.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
                        help="nuclear-norm weight (pmlsv)")
         p.add_argument("--l0", type=float, default=defaults.l0,
@@ -316,7 +304,8 @@ def build_parser():
     p = sub.add_parser("complete", help="recover a matrix from observations")
     p.add_argument("--obs", required=True, help="observation CSV (header i,j,y)")
     add_region(p)
-    p.add_argument("--algo", choices=("pg", "apg", "pmlsv"), default="pmlsv")
+    p.add_argument("--algo", dest="algorithm", choices=("pg", "apg", "pmlsv"),
+                   default="pmlsv")
     add_solver(p)
     p.add_argument("--proj-tol", type=float, default=defaults.proj_tol,
                    help="feasibility projection tolerance (pg/apg); gaps at or "
@@ -389,14 +378,11 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args, argv)
-    except _SOLVER_ERRORS as exc:
-        return _fail(str(exc), EXIT_SOLVER)
-    except _IO_ERRORS as exc:
-        return _fail(str(exc), EXIT_IO)
-    except FileNotFoundError as exc:
-        return _fail(str(exc), EXIT_IO)
-    except (PoismcError, ValueError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
+    except (*_IO_ERRORS, PoismcError, ValueError) as exc:
+        code = EXIT_IO if isinstance(exc, _IO_ERRORS) else EXIT_VALIDATION
+        if getattr(exc, "report", None) is not None:
+            code = EXIT_SOLVER
+        return _fail(str(exc), code)
 
 
 def entry():

@@ -5,10 +5,11 @@ row-major and becomes one column of the working matrix, with patches
 traversed row-major as well. Natural images make that matrix
 approximately low rank, which is what the completion solvers exploit.
 
-File formats: Netpbm PGM (P2 ASCII and P5 binary, maxval up to 65535)
-and headerless CSV.
+File formats: Netpbm PGM (read as P2 ASCII or P5 binary, maxval up to
+65535; written as P2) and headerless CSV.
 """
 
+import re
 import time
 from dataclasses import dataclass
 
@@ -92,22 +93,12 @@ def mask_overlay(image, mask, layout):
 
 
 def _pgm_tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments."""
-    i = 0
-    n = len(data)
-    while True:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i : i + 1] == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-            continue
-        if i >= n:
-            return
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        yield data[start:i], i
+    """Lazily yield ``(token, end offset)`` for whitespace-separated tokens.
+
+    A ``#`` at the start of a token opens a comment that runs to the end
+    of the line; inside a token it is an ordinary byte.
+    """
+    return ((m[1], m.end()) for m in re.finditer(rb"#[^\n]*|(\S+)", data) if m[1])
 
 
 def _parse_pgm(data):
@@ -172,11 +163,11 @@ def read_image(path):
     return _parse_pgm(data)
 
 
-def write_image(grid, path, maxval=None, binary=False):
-    """Write an integer-valued grid as PGM (or CSV by extension).
+def write_image(grid, path):
+    """Write an integer-valued grid as P2 PGM (or CSV by extension).
 
-    ``maxval`` defaults to 255 when the data allows, else 65535. A
-    written file reads back identically for in-range integer grids.
+    The maxval is 255 when the data allows, else 65535. A written file
+    reads back identically for in-range integer grids.
     """
     path = str(path)
     grid = np.asarray(grid)
@@ -191,27 +182,21 @@ def write_image(grid, path, maxval=None, binary=False):
         raise ValueError("PGM grids must hold nonnegative integers")
     g = grid.astype(np.int64)
     peak = int(g.max(initial=0))
-    if maxval is None:
-        maxval = 255 if peak <= 255 else PGM_MAXVAL_LIMIT
-    if not 0 < maxval <= PGM_MAXVAL_LIMIT or peak > maxval:
+    maxval = 255 if peak <= 255 else PGM_MAXVAL_LIMIT
+    if peak > maxval:
         raise ValueError(f"maxval {maxval} cannot represent peak {peak}")
     h, w = g.shape
     try:
         with open(path, "wb") as fh:
-            if binary:
-                fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
-                dtype = np.uint8 if maxval < 256 else ">u2"
-                fh.write(g.astype(dtype).tobytes())
-            else:
-                fh.write(f"P2\n{w} {h}\n{maxval}\n".encode())
-                body = "\n".join(" ".join(str(v) for v in row) for row in g)
-                fh.write(body.encode() + b"\n")
+            fh.write(f"P2\n{w} {h}\n{maxval}\n".encode())
+            body = "\n".join(" ".join(str(v) for v in row) for row in g)
+            fh.write(body.encode() + b"\n")
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc
 
 
-def to_display(values, region, maxval=255):
-    """Map intensities linearly from [beta, alpha] to 0..maxval.
+def to_display(values, region):
+    """Map intensities linearly from [beta, alpha] to 0..255.
 
     Rounds half-up; out-of-range intensities are clipped first. A
     degenerate region (alpha == beta) maps to mid-gray.
@@ -219,9 +204,9 @@ def to_display(values, region, maxval=255):
     v = np.clip(np.asarray(values, dtype=float), region.beta, region.alpha)
     span = region.alpha - region.beta
     if span == 0.0:
-        return np.full(v.shape, maxval // 2, dtype=np.int64)
-    scaled = (v - region.beta) / span * maxval
-    return np.clip(np.floor(scaled + 0.5), 0, maxval).astype(np.int64)
+        return np.full(v.shape, 127, dtype=np.int64)
+    scaled = (v - region.beta) / span * 255
+    return np.clip(np.floor(scaled + 0.5), 0, 255).astype(np.int64)
 
 
 # --- end-to-end recovery of a partially observed image -------------------------

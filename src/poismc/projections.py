@@ -41,11 +41,13 @@ BALL_TEST_GUARD = 1e-9
 # sqrt(d1*d2) * eps * ||U||_F; gaps at or below it count as closed.
 GAP_NOISE_FACTOR = 4.0
 
-# Below this Frobenius norm, squares of entries under about 1.5e-154 may
-# have lost bits or underflowed to 0, so ``_fro_norm`` recomputes the
-# norm from the matrix scaled to a largest entry of 1. Above it each such
-# square is under 3e-28 of the squared norm.
-TINY_NORM = 1e-140
+# Squares of entries under about 1.5e-154 may have lost bits or
+# underflowed to 0. So below this value ``_no_underflow`` recomputes a
+# norm, or a sum of norms, from the matrix scaled to a largest entry of 1.
+# Above it such entries move a Frobenius norm of n entries by under
+# n * 2.3e-48 relative, and a sum of n column norms of d entries (the
+# basis bound) by under n * sqrt(d) * 1.5e-24, far below BALL_TEST_GUARD.
+TINY_NORM = 1e-130
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,28 @@ def _basis_bound(x, u, vt):
     those is not a bound. In exact arithmetic equality holds when the
     factors are ``x``'s own.
     """
-    # Scaled to a largest entry of 1, so that squares of tiny entries
-    # cannot underflow to a bound of 0.
-    scale = float(np.abs(x).max()) or 1.0
-    x = x / scale
     if x.shape[0] >= x.shape[1]:
-        return scale * float(np.linalg.norm(x @ vt.T, axis=0).sum())
-    return scale * float(np.linalg.norm(u.T @ x, axis=1).sum())
+        return _no_underflow(lambda a: np.linalg.norm(a @ vt.T, axis=0).sum(), x)
+    return _no_underflow(lambda a: np.linalg.norm(u.T @ a, axis=1).sum(), x)
 
 
 def _fro_norm(x):
     """``np.linalg.norm(x)``, also where squares of the entries underflow."""
-    norm = float(np.linalg.norm(x))
-    if norm < TINY_NORM:
+    return _no_underflow(np.linalg.norm, x)
+
+
+def _no_underflow(norm, x):
+    """``norm(x)`` for a positively homogeneous ``norm``, safe from underflow.
+
+    Computed as is, and recomputed as ``s * norm(x / s)`` with
+    ``s = max|x|`` only when it falls below ``TINY_NORM``, so normal
+    scales pay no extra pass over ``x``.
+    """
+    value = float(norm(x))
+    if value < TINY_NORM:
         scale = float(np.abs(x).max()) or 1.0
-        norm = scale * float(np.linalg.norm(x / scale))
-    return norm
+        value = scale * float(norm(x / scale))
+    return value
 
 
 def svt(x, tau):
@@ -150,7 +158,7 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     ``||V_j - U_j||_F <= max(tol, 4 * sqrt(d1*d2) * eps * ||U_j||_F)``.
     The second term is the float64 rounding noise of the gap, so a
     ``tol`` below it cannot make the loop spin on noise. Both norms are
-    taken so that tiny entries do not underflow (``_fro_norm``). The
+    taken so that tiny entries do not underflow (``_no_underflow``). The
     returned point lies exactly in the box and within that distance
     (Frobenius) of the nuclear ball.
 

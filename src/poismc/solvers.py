@@ -43,16 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix
 from .errors import (BacktrackOverflow, NoConvergence, PoismcError,
                      ProjectionFailure, ShapeMismatch)
-from .likelihood import (
-    _sampled_gradient,
-    _sampled_nll,
-    gradient,
-    lipschitz_constant,
-    neg_log_likelihood,
-)
+from .likelihood import _sampled_gradient, _sampled_nll, lipschitz_constant
 from .projections import _alternating_projection, _svt
 
 ALGORITHMS = ("pg", "apg", "pmlsv")
@@ -146,23 +139,6 @@ def init_matrix(obs, region):
     m0 = np.full(region.shape, (region.alpha + region.beta) / 2.0)
     m0[obs.rows, obs.cols] = obs.counts
     return np.clip(m0, region.beta, region.alpha)
-
-
-def quadratic_model(m, m_prev, t, obs):
-    """Quadratic expansion of the objective around ``m_prev``.
-
-    ``f(m_prev) + <m - m_prev, grad f(m_prev)> + (t/2) * ||m - m_prev||_F**2``.
-    For ``t`` at or above the gradient's Lipschitz constant on the box,
-    ``max(y) / beta**2``, this majorizes the objective there. pmlsv does
-    not evaluate it: its trials compute ``f - Q`` directly.
-    """
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    m = as_matrix(m)
-    m_prev = as_matrix(m_prev, shape=m.shape)
-    diff = m - m_prev
-    f_prev, g = neg_log_likelihood(m_prev, obs), gradient(m_prev, obs)
-    return f_prev + float(np.vdot(diff, g)) + 0.5 * t * float(np.vdot(diff, diff))
 
 
 def _finish(algorithm, m, trace, termination, t_start, final_l, region, gaps):

@@ -213,7 +213,7 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
     return rows
 
 
-def poisson_tail_check(lam, t, draws, seed, stream=STREAM_TAIL):
+def poisson_tail_check(lam, t, draws, seed):
     """Monte-Carlo check of the exponential upper tail at rate ``lam``.
 
     Counts draws with ``Y - lam >= t`` and compares the empirical
@@ -223,7 +223,7 @@ def poisson_tail_check(lam, t, draws, seed, stream=STREAM_TAIL):
         raise NonPositiveIntensity(f"lam must be > 0, got {lam}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    rng = substream(seed, stream)
+    rng = substream(seed, STREAM_TAIL)
     y = rng.poisson(lam, size=int(draws))
     events = int(np.sum(y - lam >= t))
     bound = tail_bound(t)
@@ -239,7 +239,7 @@ def poisson_tail_check(lam, t, draws, seed, stream=STREAM_TAIL):
     }
 
 
-def verify_lemmas(region, samples, seed, matrix_samples=None, tail_draws=None):
+def verify_lemmas(region, samples, seed):
     """Spot-check the package's three supporting inequalities by sampling.
 
     * KL between rates is at most the relative quadratic gap
@@ -249,15 +249,13 @@ def verify_lemmas(region, samples, seed, matrix_samples=None, tail_draws=None):
     * the Poisson upper tail at the box cap obeys the exponential bound
       (Monte-Carlo; holds within three standard errors).
 
-    ``samples`` scalar pairs are drawn from the box; matrix pairs default
-    to ``samples // 10`` and tail draws to ``100 * samples`` capped at 1e6.
+    ``samples`` scalar pairs are drawn from the box, ``samples // 10`` (at
+    least 1) matrix pairs, and ``100 * samples`` tail draws capped at 1e6.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if matrix_samples is None:
-        matrix_samples = max(1, samples // 10)
-    if tail_draws is None:
-        tail_draws = min(1_000_000, 100 * samples)
+    matrix_samples = max(1, samples // 10)
+    tail_draws = min(1_000_000, 100 * samples)
     alpha, beta = region.alpha, region.beta
 
     rng = substream(seed, STREAM_SCALARS)

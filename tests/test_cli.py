@@ -7,12 +7,15 @@ import pytest
 from poismc import (
     FeasibleRegion, SolverConfig, init_matrix, lower_bound, nuclear_norm, upper_bound,
 )
+from poismc import solvers as solvers_mod
 from poismc.cli import build_parser, default_demo_image, main
+from poismc.errors import NonPositiveEntryAtObservation
+from poismc.likelihood import _sampled_gradient
 from poismc.fileio import (
     read_json, read_matrix_csv, read_observations_csv, write_observations_csv,
 )
 
-from test_solvers import binding_instance
+from test_solvers import binding_instance, fail_on_call
 
 
 def run(*argv):
@@ -123,12 +126,33 @@ def test_complete_solver_failure_exit_3(tmp_path, capsys):
     assert rc == 3
     assert "after 1 iterations" in capsys.readouterr().err
     assert not (out / "estimate.csv").exists()
-    assert not (out / "report.json").exists()
+    report = read_json(out / "report.json")
+    assert report["solver"]["termination"] == "ProjectionFailure"
+    assert report["solver"]["iterations_run"] == 0
+
+
+def test_complete_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
+                                                                  monkeypatch):
+    # apg's 4th gradient evaluation fails: the error carries the report of
+    # iterate 3, which complete writes before it exits 3.
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim, m=64)) == 0
+    monkeypatch.setattr(solvers_mod, "_sampled_gradient",
+                        fail_on_call(4, _sampled_gradient,
+                                     NonPositiveEntryAtObservation))
+    out = tmp_path / "rec"
+    assert run(*complete_args(sim / "observations.csv", out, algo="apg")) == 3
+    assert not (out / "estimate.csv").exists()
+    report = read_json(out / "report.json")
+    assert report["command"] == "complete"
+    assert report["solver"]["termination"] == "NonPositiveEntryAtObservation"
+    assert report["solver"]["iterations_run"] == 3
+    assert read_json(out / "manifest.json")["outputs"] == ["report.json"]
 
 
 def test_solver_flag_defaults_come_from_solver_config():
     # Parser dest -> SolverConfig field, for every solver flag a command has.
-    pmlsv_flags = {"iters": "max_iter", "lam": "lam", "l0": "l0", "eta": "eta"}
+    pmlsv_flags = {"max_iter": "max_iter", "lam": "lam", "l0": "l0", "eta": "eta"}
     proj_flags = {"proj_tol": "proj_tol", "proj_max_iter": "proj_max_iter"}
     region = ["--d1", "2", "--d2", "2", "--rank", "1", "--alpha", "3", "--beta", "1"]
     cases = ((["complete", "--obs", "obs.csv", *region], pmlsv_flags | proj_flags),

@@ -409,8 +409,11 @@ def bound_cases(draw):
     b = np.array(draw(st.lists(entries, min_size=k * d2, max_size=k * d2)))
     e = np.array(draw(st.lists(entries, min_size=d1 * d2, max_size=d1 * d2)))
     scale = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-2, 1.0]))
+    # At 2**-540 the squares of the entries underflow, so the bound must
+    # rescale to stay above ||x||_*.
+    tiny = draw(st.sampled_from([1.0, 2.0**-540]))
     x = a.reshape(d1, k) @ b.reshape(k, d2)
-    return x, x + scale * e.reshape(d1, d2)
+    return x * tiny, (x + scale * e.reshape(d1, d2)) * tiny
 
 
 @settings(max_examples=300, deadline=None)
