@@ -1,17 +1,22 @@
 """Evaluators for the theoretical recovery-error bounds.
 
-These turn the error guarantees into numbers for a given geometry and
+These turn the error guarantees, adapted from Davenport et al., *1-bit
+matrix completion* (2012), into numbers for a given geometry and
 expected sample count. The guarantees leave their absolute constants
 abstract; the defaults below are the values the underlying arguments
 actually support, and every one can be overridden.
 
-The reported values bound the mean squared error per entry; the
-probability qualifiers attached to each guarantee are carried as
-metadata strings, not computed.
+The reported values bound the mean squared error per entry. Each
+guarantee also holds only with some probability, which is not computed:
+the upper bound with probability exceeding ``1 - C/(d1*d2)`` for an
+absolute constant C, the lower bound with probability at least 3/4.
+
+Each guarantee is one formula plus the list of its hypotheses that fail;
+a :class:`BoundReport` is valid exactly when that list is empty.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidRegime, NonPositiveParameter
 
@@ -19,15 +24,11 @@ E_SQ_MINUS_2 = math.e**2 - 2.0
 E_SQ_MINUS_3 = math.e**2 - 3.0
 
 
-def _default_c_prime():
-    return 128.0 * (1.0 + math.sqrt(6.0)) * math.e
-
-
 @dataclass(frozen=True)
 class BoundConstants:
     """Absolute constants, each > 0; defaults are the proof-supported values."""
 
-    c_prime: float = field(default_factory=_default_c_prime)
+    c_prime: float = 128.0 * (1.0 + math.sqrt(6.0)) * math.e
     c1: float = 1.0 / 256.0
     c2: float = 1.0 / 4096.0
     c0: float = 33.0
@@ -38,12 +39,7 @@ class BoundConstants:
                 raise ValueError(f"{name} must be > 0")
 
     def to_json_dict(self):
-        return {
-            "c_prime": self.c_prime,
-            "c1": self.c1,
-            "c2": self.c2,
-            "c0": self.c0,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,6 @@ class BoundReport:
     ``regime`` names which formula fired; when ``valid`` is False,
     ``reason`` lists every failed hypothesis and ``value`` is still the
     raw formula value when it is computable (NaN otherwise).
-    ``probability`` records the guarantee's confidence qualifier.
     """
 
     value: float
@@ -61,19 +56,25 @@ class BoundReport:
     valid: bool
     reason: str
     constants: BoundConstants
-    probability: str
 
     def to_json_dict(self):
-        return {
-            "value": self.value,
-            "regime": self.regime,
-            "valid": self.valid,
-            "reason": self.reason,
-            "constants": self.constants.to_json_dict(),
-        }
+        return asdict(self)
 
 
-def upper_bound(region, m, constants=None):
+def _report(formula, region, m, constants):
+    """Evaluate ``formula(region, m, constants) -> (value, regime, reasons)``.
+
+    ``m <= 0`` (or NaN) reaches no formula: it is the one hypothesis
+    both guarantees share, and the value is NaN.
+    """
+    if not m > 0:
+        value, regime, reasons = float("nan"), "none", [f"m must be > 0, got {m}"]
+    else:
+        value, regime, reasons = formula(region, m, constants)
+    return BoundReport(value, regime, not reasons, "; ".join(reasons), constants)
+
+
+def upper_bound(region, m, constants=BoundConstants()):
     """High-probability upper bound on the per-entry MSE of the estimator.
 
     The general form applies for any m > 0; once
@@ -81,16 +82,10 @@ def upper_bound(region, m, constants=None):
     without the second square-root factor (both agree at the boundary).
     Natural logarithms throughout.
     """
-    k = constants if constants is not None else BoundConstants()
-    if not m > 0:
-        return BoundReport(
-            value=float("nan"),
-            regime="none",
-            valid=False,
-            reason=f"m must be > 0, got {m}",
-            constants=k,
-            probability="exceeds 1 - C/(d1*d2)",
-        )
+    return _report(_upper, region, m, constants)
+
+
+def _upper(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
     t = (alpha - beta) ** 2 / (8.0 * beta)
     # 8*alpha*T / (1 - exp(-T)), with the T -> 0 limit equal to 8*alpha.
@@ -107,26 +102,16 @@ def upper_bound(region, m, constants=None):
     )
     dsum = d1 + d2
     if m >= dsum * logdd:
-        value = math.sqrt(2.0) * prefactor * math.sqrt(dsum / m)
-        regime = "simplified"
-    else:
-        value = (
-            prefactor
-            * math.sqrt(dsum / m)
-            * math.sqrt(1.0 + dsum * logdd / m)
-        )
-        regime = "general"
-    return BoundReport(
-        value=value,
-        regime=regime,
-        valid=True,
-        reason="",
-        constants=k,
-        probability="exceeds 1 - C/(d1*d2)",
+        return math.sqrt(2.0) * prefactor * math.sqrt(dsum / m), "simplified", []
+    value = (
+        prefactor
+        * math.sqrt(dsum / m)
+        * math.sqrt(1.0 + dsum * logdd / m)
     )
+    return value, "general", []
 
 
-def lower_bound(region, m, constants=None):
+def lower_bound(region, m, constants=BoundConstants()):
     """Minimax lower bound on the per-entry MSE of any estimator.
 
     ``min(c1, c2 * alpha**1.5 * sqrt(r * max(d1, d2) / m))``, valid only
@@ -135,16 +120,10 @@ def lower_bound(region, m, constants=None):
     ``r * alpha**2 / min(d1, d2)``. The value is independent of beta;
     beta enters only through the hypotheses.
     """
-    k = constants if constants is not None else BoundConstants()
-    if not m > 0:
-        return BoundReport(
-            value=float("nan"),
-            regime="none",
-            valid=False,
-            reason=f"m must be > 0, got {m}",
-            constants=k,
-            probability="at least 3/4",
-        )
+    return _report(_lower, region, m, constants)
+
+
+def _lower(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
     dmax = max(d1, d2)
     scaled = k.c2 * alpha**1.5 * math.sqrt(r * dmax / m)
@@ -152,34 +131,21 @@ def lower_bound(region, m, constants=None):
         value, regime = k.c1, "constant"
     else:
         value, regime = scaled, "scaled"
-    reasons = []
-    if r < 4:
-        reasons.append(f"requires r >= 4, got r={r}")
-    if alpha < 1.0:
-        reasons.append(f"requires alpha >= 1, got alpha={alpha}")
-    if alpha < 2.0 * beta:
-        reasons.append(f"requires alpha >= 2*beta, got alpha={alpha}, beta={beta}")
-    if alpha**2 * r * dmax < k.c0:
-        reasons.append(
-            f"requires alpha**2 * r * max(d1,d2) >= c0={k.c0}, "
-            f"got {alpha**2 * r * dmax}"
-        )
     floor = r * alpha**2 / min(d1, d2)
-    if not value > floor:
-        reasons.append(
-            f"bound {value:.6g} does not exceed r*alpha**2/min(d1,d2)={floor:.6g}"
-        )
-    return BoundReport(
-        value=value,
-        regime=regime,
-        valid=not reasons,
-        reason="; ".join(reasons),
-        constants=k,
-        probability="at least 3/4",
-    )
+    failed = [
+        (r < 4, f"requires r >= 4, got r={r}"),
+        (alpha < 1.0, f"requires alpha >= 1, got alpha={alpha}"),
+        (alpha < 2.0 * beta, f"requires alpha >= 2*beta, got alpha={alpha}, beta={beta}"),
+        (alpha**2 * r * dmax < k.c0,
+         f"requires alpha**2 * r * max(d1,d2) >= c0={k.c0}, "
+         f"got {alpha**2 * r * dmax}"),
+        (not value > floor,
+         f"bound {value:.6g} does not exceed r*alpha**2/min(d1,d2)={floor:.6g}"),
+    ]
+    return value, regime, [reason for fails, reason in failed if fails]
 
 
-def bound_gap(region, m, constants=None, require_valid=True):
+def bound_gap(region, m, constants=BoundConstants(), require_valid=True):
     """Ratio of the upper bound to the lower bound.
 
     With ``require_valid`` (the default) both bounds must be valid,
@@ -189,11 +155,9 @@ def bound_gap(region, m, constants=None, require_valid=True):
     """
     ub = upper_bound(region, m, constants)
     lb = lower_bound(region, m, constants)
-    if require_valid:
-        if not ub.valid:
-            raise InvalidRegime(f"upper bound invalid: {ub.reason}")
-        if not lb.valid:
-            raise InvalidRegime(f"lower bound invalid: {lb.reason}")
+    for name, rep in (("upper", ub), ("lower", lb)):
+        if require_valid and not rep.valid:
+            raise InvalidRegime(f"{name} bound invalid: {rep.reason}")
     if not (math.isfinite(ub.value) and math.isfinite(lb.value)) or lb.value <= 0:
         raise InvalidRegime("bound values are not computable here")
     return ub.value / lb.value

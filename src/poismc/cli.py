@@ -11,12 +11,13 @@ outputs; re-running through the manifest reproduces the artifacts.
 All randomness flows from ``--seed``.
 
 Exit codes: 0 ok, 1 I/O failure, 2 validation, 3 the error carries a
-report (a solve failed after its first iterate; ``complete`` then writes
-that report, the last good iterate's, to ``report.json``), 4
-verification violation.
+report (a solve failed after its first iterate; ``complete`` and
+``demo-solar`` then write that report, the last good iterate's, to
+``report.json``), 4 verification violation.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.resources
 import json
@@ -30,6 +31,7 @@ from .bounds import BoundConstants, lower_bound, upper_bound
 from .core import FeasibleRegion, mse_per_entry
 from .errors import CorruptFile, IoFailure, PoismcError, UnsupportedFormat
 from .fileio import (
+    SCHEMA_VERSION,
     read_json,
     read_matrix_csv,
     read_observations_csv,
@@ -40,8 +42,6 @@ from .fileio import (
 from .imaging import read_image, recover_image, to_display, unpatchify, write_image
 from .solvers import SolverConfig, solve
 from .synth import SynthesisSpec, make_low_rank, sample_mask, sample_poisson, verify_lemmas
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -89,6 +89,22 @@ def _write_outputs(out, command, argv, seed, outputs, report=None):
     write_json(manifest, os.path.join(out, "manifest.json"))
 
 
+@contextlib.contextmanager
+def _keep_failed_report(out, command, argv, seed):
+    """On an error that carries a solver report, write it before re-raising.
+
+    The report, the last good iterate's, goes to ``report.json`` under
+    ``"solver"``, with a manifest that lists it; ``main`` then exits 3.
+    """
+    try:
+        yield
+    except PoismcError as exc:
+        if exc.report is not None:
+            _write_outputs(out, command, argv, seed, [],
+                           {"solver": exc.report.to_json_dict()})
+        raise
+
+
 def _region_from_args(args):
     return FeasibleRegion(
         d1=args.d1, d2=args.d2, alpha=args.alpha, beta=args.beta, r=args.rank
@@ -129,13 +145,8 @@ def cmd_complete(args, argv):
     if args.baseline and args.truth is None:
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     out = _ensure_out(args.out)
-    try:
+    with _keep_failed_report(out, "complete", argv, args.seed):
         report = solve(obs, region, cfg)
-    except PoismcError as exc:
-        if exc.report is not None:
-            _write_outputs(out, "complete", argv, args.seed, [],
-                           {"solver": exc.report.to_json_dict()})
-        raise
     write_matrix_csv(report.estimate, os.path.join(out, "estimate.csv"))
     payload = {"solver": report.to_json_dict()}
     if args.truth is not None:
@@ -165,9 +176,7 @@ def cmd_bounds(args, argv):
         gap, gap_reason = ub.value / lb.value, ""
     else:
         gap = None
-        gap_reason = "; ".join(
-            r for r in (ub.reason, lb.reason) if r
-        ) or "a bound is invalid"
+        gap_reason = "; ".join(r for r in (ub.reason, lb.reason) if r)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "upper": ub.to_json_dict(),
@@ -215,16 +224,17 @@ def cmd_verify(args, argv):
 def cmd_demo_solar(args, argv):
     image = read_image(args.image if args.image else default_demo_image())
     out = _ensure_out(args.out)
-    rec = recover_image(
-        image,
-        args.p,
-        _solver_config(args),
-        seed=args.seed,
-        patch=args.patch,
-        scale=args.scale,
-        alpha=args.alpha,
-        beta=args.beta,
-    )
+    with _keep_failed_report(out, "demo-solar", argv, args.seed):
+        rec = recover_image(
+            image,
+            args.p,
+            _solver_config(args),
+            seed=args.seed,
+            patch=args.patch,
+            scale=args.scale,
+            alpha=args.alpha,
+            beta=args.beta,
+        )
     counts = np.zeros(rec.truth.shape)
     obs = rec.observations
     counts[obs.rows, obs.cols] = obs.counts
@@ -277,6 +287,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = SolverConfig()
+    constants = BoundConstants()
 
     def add_region(p):
         p.add_argument("--d1", type=int, required=True, help="row count")
@@ -323,11 +334,10 @@ def build_parser():
     p = sub.add_parser("bounds", help="evaluate the theoretical error bounds")
     add_region(p)
     p.add_argument("--m", type=float, required=True)
-    p.add_argument("--c-prime", dest="c_prime", type=float,
-                   default=BoundConstants().c_prime)
-    p.add_argument("--c0", type=float, default=BoundConstants().c0)
-    p.add_argument("--c1", type=float, default=BoundConstants().c1)
-    p.add_argument("--c2", type=float, default=BoundConstants().c2)
+    p.add_argument("--c-prime", dest="c_prime", type=float, default=constants.c_prime)
+    p.add_argument("--c0", type=float, default=constants.c0)
+    p.add_argument("--c1", type=float, default=constants.c1)
+    p.add_argument("--c2", type=float, default=constants.c2)
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("verify", help="Monte-Carlo inequality checks")

@@ -13,6 +13,9 @@ import numpy as np
 from .core import ObservationSet
 from .errors import CorruptFile, IoFailure
 
+# Version of every JSON artifact's layout; bump it when a key changes.
+SCHEMA_VERSION = 1
+
 
 def write_matrix_csv(m, path):
     m = np.atleast_2d(np.asarray(m, dtype=float))

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedFormat,
 )
-from .solvers import solve_pmlsv
+from .solvers import solve
 from .synth import sample_mask, sample_poisson
 
 PGM_MAXVAL_LIMIT = 65535
@@ -232,8 +232,9 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
     Pixels are scaled, lifted to at least ``beta`` (rates must be
     positive), and clamped at ``alpha`` (default: the scaled maximum).
     The patch matrix is masked with expected fraction ``p``, Poisson
-    counts are drawn, and the shrinkage solver recovers the matrix.
-    ``baseline_mse`` scores the constant box-midpoint guess.
+    counts are drawn, and the solver that ``cfg.algorithm`` names
+    recovers the matrix. ``baseline_mse`` scores the constant box-midpoint
+    guess.
     """
     img = as_matrix(image)
     if not 0.0 < p <= 1.0:
@@ -250,7 +251,7 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
     t0 = time.perf_counter()
     mask = sample_mask(d1, d2, p * d1 * d2, seed)
     obs = sample_poisson(truth, mask, seed, m_expected=p * d1 * d2)
-    report = solve_pmlsv(obs, region, cfg)
+    report = solve(obs, region, cfg)
     wall = time.perf_counter() - t0
 
     baseline = np.full(truth.shape, (alpha + beta) / 2.0)

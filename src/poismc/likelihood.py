@@ -85,10 +85,17 @@ def lipschitz_constant(region):
     return region.alpha / region.beta**2
 
 
-def _check_positive(*vals):
-    for v in vals:
-        if np.any(np.asarray(v) <= 0.0):
-            raise NonPositiveParameter("rates must be strictly positive")
+def _positive_rates(p, q):
+    """``p`` and ``q`` as float arrays; raises unless every rate is positive."""
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if np.any(p <= 0.0) or np.any(q <= 0.0):
+        raise NonPositiveParameter("rates must be strictly positive")
+    return p, q
+
+
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
 
 
 def kl(p, q):
@@ -96,23 +103,18 @@ def kl(p, q):
 
     Accepts scalars or same-shape arrays (elementwise).
     """
-    _check_positive(p, q)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    out = p * np.log(p / q) - (p - q)
-    return float(out) if out.ndim == 0 else out
+    p, q = _positive_rates(p, q)
+    return _scalar_or_array(p * np.log(p / q) - (p - q))
+
 
 def hellinger_sq(p, q):
     """Squared Hellinger distance between Poisson rates.
 
     ``2 - 2*exp(-(sqrt(p) - sqrt(q))**2 / 2)``; symmetric, in [0, 2).
     """
-    _check_positive(p, q)
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    p, q = _positive_rates(p, q)
     z = 0.5 * (np.sqrt(p) - np.sqrt(q)) ** 2
-    out = -2.0 * np.expm1(-z)
-    return float(out) if out.ndim == 0 else out
+    return _scalar_or_array(-2.0 * np.expm1(-z))
 
 
 def kl_matrix(p, q):

@@ -27,6 +27,7 @@ from .errors import (
     RankInfeasible,
     ShapeMismatch,
 )
+from .fileio import SCHEMA_VERSION
 from .likelihood import hellinger_mse_floor, hellinger_sq_matrix, kl
 from .solvers import SolverConfig, SolverReport, solve
 
@@ -277,7 +278,7 @@ def verify_lemmas(region, samples, seed):
         alpha, poisson_tail_threshold(alpha), tail_draws, seed
     )
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kl_quadratic": {"samples": int(samples), "violations": kl_violations},
         "hellinger_mse_floor": {
             "samples": int(matrix_samples),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -5,7 +6,8 @@ import numpy as np
 import pytest
 
 from poismc import (
-    FeasibleRegion, SolverConfig, init_matrix, lower_bound, nuclear_norm, upper_bound,
+    BoundConstants, FeasibleRegion, SolverConfig, init_matrix, lower_bound,
+    nuclear_norm, upper_bound,
 )
 from poismc import solvers as solvers_mod
 from poismc.cli import build_parser, default_demo_image, main
@@ -165,6 +167,14 @@ def test_solver_flag_defaults_come_from_solver_config():
             assert args[dest] == getattr(defaults, field), (argv[0], dest)
 
 
+def test_bound_constant_flag_defaults_come_from_bound_constants():
+    region = ["--d1", "2", "--d2", "2", "--rank", "1", "--alpha", "3", "--beta", "1"]
+    args = vars(build_parser().parse_args(["bounds", *region, "--m", "10"]))
+    defaults = BoundConstants()
+    for field in dataclasses.fields(BoundConstants):
+        assert args[field.name] == getattr(defaults, field.name), field.name
+
+
 # --- bounds --------------------------------------------------------------------
 
 
@@ -193,6 +203,88 @@ def test_bounds_table_mode(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "upper" in out and "lower" in out and "gap" in out
+
+
+# Golden stdout of ``poismc bounds``: a point where both bounds hold, and
+# one where the lower bound's rank and floor hypotheses fail.
+VALID_POINT = ["--d1", "2048", "--d2", "2048", "--rank", "4",
+               "--alpha", "1", "--beta", "0.5", "--m", "100"]
+INVALID_POINT = ["--d1", "64", "--d2", "64", "--rank", "3",
+                 "--alpha", "9", "--beta", "1", "--m", "5000"]
+INVALID_REASON = ("requires r >= 4, got r=3; bound 0.00129172 does not exceed "
+                  "r*alpha**2/min(d1,d2)=3.79688")
+GOLDEN_TABLES = {
+    "valid": [
+        "quantity    value           regime      valid  reason",
+        "upper       3.24321e+08     general     True   ",
+        "lower       0.00220971      scaled      True   ",
+        "gap         1.46771e+11                        ",
+    ],
+    "invalid": [
+        "quantity    value           regime      valid  reason",
+        "upper       1.79178e+08     simplified  True   ",
+        "lower       0.00129172      scaled      False  " + INVALID_REASON,
+        "gap         n/a                                " + INVALID_REASON,
+    ],
+}
+GOLDEN_CONSTANTS = """{
+      "c0": 33.0,
+      "c1": 0.00390625,
+      "c2": 0.000244140625,
+      "c_prime": 1200.2157165137123
+    }"""
+GOLDEN_JSON = {
+    "valid": """{
+  "gap": 146770904232.15747,
+  "gap_reason": "",
+  "lower": {
+    "constants": %(k)s,
+    "reason": "",
+    "regime": "scaled",
+    "valid": true,
+    "value": 0.002209708691207961
+  },
+  "schema_version": 1,
+  "upper": {
+    "constants": %(k)s,
+    "reason": "",
+    "regime": "general",
+    "valid": true,
+    "value": 324320942.6982497
+  }
+}
+""",
+    "invalid": """{
+  "gap": null,
+  "gap_reason": "%(reason)s",
+  "lower": {
+    "constants": %(k)s,
+    "reason": "%(reason)s",
+    "regime": "scaled",
+    "valid": false,
+    "value": 0.0012917231065458165
+  },
+  "schema_version": 1,
+  "upper": {
+    "constants": %(k)s,
+    "reason": "",
+    "regime": "simplified",
+    "valid": true,
+    "value": 179178470.39623305
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("point", ["valid", "invalid"])
+def test_bounds_output_is_pinned(point, capsys):
+    argv = {"valid": VALID_POINT, "invalid": INVALID_POINT}[point]
+    assert run("bounds", *argv) == 0
+    assert capsys.readouterr().out == "\n".join(GOLDEN_TABLES[point]) + "\n"
+    assert run("bounds", *argv, "--json") == 0
+    golden = GOLDEN_JSON[point] % {"k": GOLDEN_CONSTANTS, "reason": INVALID_REASON}
+    assert capsys.readouterr().out == golden
 
 
 def test_bounds_validation_exit_2(capsys):
@@ -239,6 +331,23 @@ def test_demo_runs_on_packaged_image(tmp_path):
     report = read_json(out / "report.json")
     assert report["mse"] < report["baseline_mse"]
     assert os.path.exists(default_demo_image())
+
+
+def test_demo_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
+                                                              monkeypatch):
+    # pmlsv's 4th gradient evaluation fails: demo-solar writes the report
+    # of iterate 3 and the manifest, and no image.
+    monkeypatch.setattr(solvers_mod, "_sampled_gradient",
+                        fail_on_call(4, _sampled_gradient,
+                                     NonPositiveEntryAtObservation))
+    out = tmp_path / "demo"
+    assert run("demo-solar", "--iters", "50", "--out", str(out)) == 3
+    report = read_json(out / "report.json")
+    assert report["command"] == "demo-solar"
+    assert report["solver"]["termination"] == "NonPositiveEntryAtObservation"
+    assert report["solver"]["iterations_run"] == 3
+    assert read_json(out / "manifest.json")["outputs"] == ["report.json"]
+    assert not list(out.glob("*.pgm"))
 
 
 def test_demo_absent_image_exits_1(tmp_path):

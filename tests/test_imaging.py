@@ -4,9 +4,11 @@ import pytest
 from poismc import (
     FeasibleRegion,
     PatchLayout,
+    SolverConfig,
     mask_overlay,
     patchify,
     read_image,
+    recover_image,
     unpatchify,
     write_image,
 )
@@ -206,3 +208,14 @@ def test_display_rounds_half_up():
     reg = FeasibleRegion(d1=1, d2=1, alpha=3.0, beta=1.0, r=1)
     out = to_display(np.array([[2.0]]), reg)
     assert out[0, 0] == 128  # 127.5 rounds up
+
+
+# --- end-to-end recovery ------------------------------------------------------------
+
+
+def test_recover_image_runs_the_configured_algorithm():
+    image = np.add.outer(np.arange(16.0), np.arange(16.0)) % 7 + 1
+    cfg = SolverConfig(algorithm="apg", max_iter=5)
+    rec = recover_image(image, 0.8, cfg, seed=1, patch=4)
+    assert rec.report.algorithm == "apg"
+    assert rec.report.iterations_run == 5
