@@ -64,20 +64,26 @@ class BoundReport:
 def _report(formula, region, m, constants):
     """Evaluate ``formula(region, m, constants) -> (value, regime, reasons)``.
 
-    ``m <= 0`` (or NaN) reaches no formula: it is the one hypothesis
-    both guarantees share, and the value is NaN.
+    ``m <= 0`` (or NaN) reaches no formula, and the value is NaN.
+    ``m <= d1*d2`` is the other hypothesis both guarantees share: the
+    sampling model draws each cell at most once, so it cannot expect more
+    samples than cells. Past it the raw formula value is kept, and the
+    failed hypothesis follows the formula's own.
     """
     if not m > 0:
         value, regime, reasons = float("nan"), "none", [f"m must be > 0, got {m}"]
     else:
         value, regime, reasons = formula(region, m, constants)
+        cells = region.d1 * region.d2
+        if m > cells:
+            reasons.append(f"requires m <= d1*d2={cells}, got m={m}")
     return BoundReport(value, regime, not reasons, "; ".join(reasons), constants)
 
 
 def upper_bound(region, m, constants=BoundConstants()):
     """High-probability upper bound on the per-entry MSE of the estimator.
 
-    The general form applies for any m > 0; once
+    The general form applies for any ``0 < m <= d1 * d2``; once
     ``m >= (d1 + d2) * log(d1 * d2)`` it simplifies to a sqrt(2) variant
     without the second square-root factor (both agree at the boundary).
     Natural logarithms throughout.
@@ -115,10 +121,10 @@ def lower_bound(region, m, constants=BoundConstants()):
     """Minimax lower bound on the per-entry MSE of any estimator.
 
     ``min(c1, c2 * alpha**1.5 * sqrt(r * max(d1, d2) / m))``, valid only
-    under the hypotheses ``alpha >= 1``, ``r >= 4``, ``alpha >= 2*beta``,
-    ``alpha**2 * r * max(d1, d2) >= c0``, and the value itself exceeding
-    ``r * alpha**2 / min(d1, d2)``. The value is independent of beta;
-    beta enters only through the hypotheses.
+    under the hypotheses ``0 < m <= d1 * d2``, ``alpha >= 1``, ``r >= 4``,
+    ``alpha >= 2*beta``, ``alpha**2 * r * max(d1, d2) >= c0``, and the
+    value itself exceeding ``r * alpha**2 / min(d1, d2)``. The value is
+    independent of beta; beta enters only through the hypotheses.
     """
     return _report(_lower, region, m, constants)
 

@@ -176,7 +176,9 @@ def cmd_bounds(args, argv):
         gap, gap_reason = ub.value / lb.value, ""
     else:
         gap = None
-        gap_reason = "; ".join(r for r in (ub.reason, lb.reason) if r)
+        # A hypothesis both bounds share (m <= d1*d2) is named once.
+        reasons = (r for rep in (ub, lb) for r in rep.reason.split("; ") if r)
+        gap_reason = "; ".join(dict.fromkeys(reasons))
     payload = {
         "schema_version": SCHEMA_VERSION,
         "upper": ub.to_json_dict(),

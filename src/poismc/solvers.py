@@ -12,6 +12,11 @@ Three schemes, all starting from the count-seeded initializer:
   ``f - Q <= 0``, computed without subtracting two values of f (the
   stable test of TFOCS, Becker, Candes & Grant 2011), so rounding noise
   near the optimum does not reject steps and push L up.
+  The shrinkage (``projections._svt``) takes one symmetric
+  eigendecomposition of the Gram matrix per trial, not an SVD; it is
+  within about ``n * eps * sigma_1 / tau`` relative of the SVD formula,
+  which it falls back to where that bound exceeds its cap, at
+  ``lam == 0`` or when the Gram matrix leaves the float range.
 
 All three run one proximal-gradient loop (``_proximal_gradient``). The
 schemes differ in the momentum (apg's, or none), the prox step

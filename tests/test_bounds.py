@@ -114,6 +114,20 @@ def test_upper_invalid_inputs_flagged():
     assert math.isnan(rep.value)
 
 
+def test_more_samples_than_cells_fail_both_bounds_and_keep_the_value():
+    reg = region()
+    assert upper_bound(reg, 4096.0).valid
+    assert "m <= d1*d2" not in lower_bound(reg, 4096.0).reason
+    reason = "requires m <= d1*d2=4096, got m=4097.0"
+    up, low = upper_bound(reg, 4097.0), lower_bound(reg, 4097.0)
+    assert not up.valid and up.reason == reason
+    assert up.value == pytest.approx(upper_oracle(64, 64, 9.0, 1.0, 4, 4097.0,
+                                                  BoundConstants().c_prime), rel=1e-12)
+    assert not low.valid and low.reason.endswith("; " + reason)
+    assert low.value == pytest.approx(
+        lower_oracle(9.0, 4, 64, 64, 4097.0, 1 / 256, 1 / 4096), rel=1e-12)
+
+
 def test_simplified_regime_formula():
     # In the large-m regime the value equals sqrt(2) * prefactor * sqrt((d1+d2)/m).
     reg = region()

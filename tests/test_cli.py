@@ -206,13 +206,15 @@ def test_bounds_table_mode(capsys):
 
 
 # Golden stdout of ``poismc bounds``: a point where both bounds hold, and
-# one where the lower bound's rank and floor hypotheses fail.
+# one where the lower bound's rank and floor hypotheses fail and m exceeds
+# the 4096 cells, which fails both bounds.
 VALID_POINT = ["--d1", "2048", "--d2", "2048", "--rank", "4",
                "--alpha", "1", "--beta", "0.5", "--m", "100"]
 INVALID_POINT = ["--d1", "64", "--d2", "64", "--rank", "3",
                  "--alpha", "9", "--beta", "1", "--m", "5000"]
 INVALID_REASON = ("requires r >= 4, got r=3; bound 0.00129172 does not exceed "
                   "r*alpha**2/min(d1,d2)=3.79688")
+M_REASON = "requires m <= d1*d2=4096, got m=5000.0"
 GOLDEN_TABLES = {
     "valid": [
         "quantity    value           regime      valid  reason",
@@ -222,9 +224,9 @@ GOLDEN_TABLES = {
     ],
     "invalid": [
         "quantity    value           regime      valid  reason",
-        "upper       1.79178e+08     simplified  True   ",
-        "lower       0.00129172      scaled      False  " + INVALID_REASON,
-        "gap         n/a                                " + INVALID_REASON,
+        "upper       1.79178e+08     simplified  False  " + M_REASON,
+        "lower       0.00129172      scaled      False  " + INVALID_REASON + "; " + M_REASON,
+        "gap         n/a                                " + M_REASON + "; " + INVALID_REASON,
     ],
 }
 GOLDEN_CONSTANTS = """{
@@ -256,10 +258,10 @@ GOLDEN_JSON = {
 """,
     "invalid": """{
   "gap": null,
-  "gap_reason": "%(reason)s",
+  "gap_reason": "%(m)s; %(reason)s",
   "lower": {
     "constants": %(k)s,
-    "reason": "%(reason)s",
+    "reason": "%(reason)s; %(m)s",
     "regime": "scaled",
     "valid": false,
     "value": 0.0012917231065458165
@@ -267,9 +269,9 @@ GOLDEN_JSON = {
   "schema_version": 1,
   "upper": {
     "constants": %(k)s,
-    "reason": "",
+    "reason": "%(m)s",
     "regime": "simplified",
-    "valid": true,
+    "valid": false,
     "value": 179178470.39623305
   }
 }
@@ -283,8 +285,28 @@ def test_bounds_output_is_pinned(point, capsys):
     assert run("bounds", *argv) == 0
     assert capsys.readouterr().out == "\n".join(GOLDEN_TABLES[point]) + "\n"
     assert run("bounds", *argv, "--json") == 0
-    golden = GOLDEN_JSON[point] % {"k": GOLDEN_CONSTANTS, "reason": INVALID_REASON}
+    golden = GOLDEN_JSON[point] % {"k": GOLDEN_CONSTANTS, "reason": INVALID_REASON,
+                                   "m": M_REASON}
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("m, value", [("1e9", "89465.5"), ("inf", "0")])
+def test_bounds_for_more_samples_than_cells_are_invalid(m, value, capsys):
+    # Bernoulli sampling draws each of the 16 cells at most once.
+    argv = ["--d1", "4", "--d2", "4", "--rank", "4", "--alpha", "9", "--beta", "1"]
+    assert run("bounds", *argv, "--m", m) == 0
+    lines = capsys.readouterr().out.splitlines()
+    reason = f"requires m <= d1*d2=16, got m={float(m)}"
+    assert lines[1].split()[:4] == ["upper", value, "simplified", "False"]
+    assert lines[1].endswith(reason)
+    assert lines[2].endswith(reason) and "False" in lines[2]
+    assert lines[3].startswith("gap         n/a") and lines[3].count(reason) == 1
+    assert run("bounds", *argv, "--m", m, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["upper"]["valid"] is False and payload["lower"]["valid"] is False
+    assert payload["upper"]["reason"] == reason
+    assert payload["lower"]["reason"].endswith("; " + reason)
+    assert payload["gap"] is None
 
 
 def test_bounds_validation_exit_2(capsys):

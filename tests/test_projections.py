@@ -13,8 +13,8 @@ from poismc import (
     project_nuclear_ball,
     svt,
 )
-from poismc.errors import BadRadius, BadTau, NoConvergence
-from poismc.projections import BALL_TEST_GUARD, _basis_bound
+from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
+from poismc.projections import BALL_TEST_GUARD, GRAM_SVT_GUARD, _basis_bound
 
 from test_solvers import binding_instance, hadamard
 
@@ -211,6 +211,98 @@ def test_svt_matches_grid_minimum_2x2():
 def test_svt_rejects_negative_tau():
     with pytest.raises(BadTau):
         svt(np.eye(2), -0.1)
+
+
+def svd_formula(x, tau):
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
+@st.composite
+def svt_cases(draw):
+    """A rank-r matrix at scale 1e-150, 1 or 1e150, and tau in [0, 1.6 sigma_1]."""
+    d1, d2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(d1, d2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = rng.normal(size=(d1, r)) @ rng.normal(size=(r, d2))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    frac = draw(st.one_of(st.just(0.0), st.floats(-7.0, 0.2).map(lambda e: 10.0**e)))
+    return scale * unit, frac * scale * np.linalg.norm(unit, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(svt_cases())
+def test_svt_is_the_svd_formula_within_the_gram_bound(case):
+    # The Gram path errs by about n * eps * sigma_1 / tau relative, the SVD
+    # formula by about n * eps. The bound takes ||x||_F for sigma_1 and
+    # n = d1 + d2, for the d1-term sums of the Gram matrix and the
+    # eigendecomposition's backward error on d2 x d2.
+    x, tau = case
+    got, want = svt(x, tau), svd_formula(x, tau)
+    fro = np.linalg.norm(x)
+    ratio = fro / tau if tau > 0.0 else 0.0
+    n = sum(x.shape)
+    assert np.linalg.norm(got - want) <= n * np.finfo(float).eps * fro * (1.0 + ratio)
+
+
+def test_svt_of_a_pmlsv_sized_step_takes_the_gram_path(monkeypatch):
+    # A 200x200 gradient step like pmlsv's: rank 4 with entries in [1, 9],
+    # noise on half the cells, shrunk by lam / L = 0.1.
+    rng = np.random.default_rng(0)
+    x = rng.uniform(1.0, 3.0, (200, 4)) @ rng.uniform(0.25, 0.75, (4, 200))
+    x += rng.normal(size=x.shape) * (rng.random(x.shape) < 0.5)
+    want = svd_formula(x, 0.1)
+    counts = count_svds(monkeypatch)
+    got = svt(x, 0.1)
+    assert counts == {"full": 0, "values": 0}
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def wide_3x5(scale):
+    return scale * np.random.default_rng(11).normal(size=(3, 5))
+
+
+# name: (scale of the matrix, tau / sigma_1)
+SVT_FALLBACKS = {
+    "tau 0": (1.0, 0.0),
+    "sigma_1 over guard": (1.0, 0.5 / GRAM_SVT_GUARD),
+    "gram overflows": (1e160, 0.1),
+    "gram underflows": (1e-160, 0.1),
+    "eigh raises": (1.0, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", SVT_FALLBACKS)
+def test_svt_falls_back_to_the_svd_formula(monkeypatch, name):
+    scale, tau_ratio = SVT_FALLBACKS[name]
+    x = wide_3x5(scale)
+    tau = tau_ratio * np.linalg.norm(x, 2)
+    want = svd_formula(x, tau)
+    if name == "eigh raises":
+        def eigh(a):
+            raise np.linalg.LinAlgError("forced")
+        monkeypatch.setattr(np.linalg, "eigh", eigh)
+    counts = count_svds(monkeypatch)
+    got = svt(x, tau)
+    assert counts == {"full": 1, "values": 0}
+    assert np.array_equal(got, want)
+
+
+def test_svt_on_the_gram_side_of_the_guard_skips_the_svd(monkeypatch):
+    # A wide matrix is shrunk through the Gram matrix of its shorter side.
+    x = wide_3x5(1.0)
+    tau = 2.0 * np.linalg.norm(x, 2) / GRAM_SVT_GUARD
+    grams, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
+    counts = count_svds(monkeypatch)
+    svt(x, tau)
+    assert counts == {"full": 0, "values": 0}
+    assert grams == [(3, 3)]
+
+
+def test_svt_of_nan_raises_svd_failure():
+    with pytest.raises(SvdFailure):
+        svt(np.full((4, 3), np.nan), 1.0)
 
 
 # --- alternating projection ------------------------------------------------------

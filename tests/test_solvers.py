@@ -295,10 +295,11 @@ def scan_trial(l, m, g, obs, reg, lam):
     """Reference pmlsv trial: ``(m_next, f(m_next) - Q(m_next, m))``.
 
     The gap is the likelihood's Bregman term on the sampled cells minus
-    ``(l/2) * ||m_next - m||_F**2``, the formula the solver uses.
+    ``(l/2) * ||m_next - m||_F**2``, the formula the solver uses. The
+    shrinkage is the package's ``svt``, the solver's kernel, so the scan
+    checks the search bit for bit.
     """
-    u, s, vt = np.linalg.svd(m - g / l, full_matrices=False)
-    m_next = project_box((u * np.maximum(s - lam / l, 0.0)) @ vt, reg)
+    m_next = project_box(svt(m - g / l, lam / l), reg)
     x = m[obs.rows, obs.cols]
     r = (m_next[obs.rows, obs.cols] - x) / x
     diff = m_next - m
@@ -505,14 +506,13 @@ def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
     cfg = dataclasses.replace(cfg, max_iter=1)
     k = linear_scan_pmlsv(obs, reg, cfg)["trials"][0] - 1
     assert k >= 16
-    svd_calls = []
-    real_svd = projections_mod._svd
+    svt_calls = []
+    real_svt = solvers_mod._svt
     monkeypatch.setattr(
-        projections_mod, "_svd",
-        lambda x, compute_uv=True: svd_calls.append(1) or real_svd(x, compute_uv),
+        solvers_mod, "_svt", lambda x, tau: svt_calls.append(1) or real_svt(x, tau)
     )
     solve_pmlsv(obs, reg, cfg)
-    assert 1 <= len(svd_calls) <= 2 * math.ceil(math.log2(k + 1)) + 1
+    assert 1 <= len(svt_calls) <= 2 * math.ceil(math.log2(k + 1)) + 1
 
 
 def test_pmlsv_probes_gallop_to_the_cap_then_overflow(monkeypatch):
@@ -703,6 +703,30 @@ def fail_on_call(n, real, error):
     return wrapped
 
 
+def fail_eigh_and_its_fallback(monkeypatch, n):
+    """Make the n-th ``eigh`` raise, and every ``_svd`` from then on.
+
+    That is a matrix neither decomposition can handle: ``_svt`` falls
+    back to the SVD when ``eigh`` raises, and the SVD fails too.
+    """
+    eigh_calls = []
+    real_eigh, real_svd = np.linalg.eigh, projections_mod._svd
+
+    def eigh(a):
+        eigh_calls.append(1)
+        if len(eigh_calls) == n:
+            raise np.linalg.LinAlgError(f"forced on call {n}")
+        return real_eigh(a)
+
+    def svd(x, compute_uv=True):
+        if len(eigh_calls) >= n:
+            raise SvdFailure(f"forced after eigh call {n}")
+        return real_svd(x, compute_uv)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(projections_mod, "_svd", svd)
+
+
 FORCED_FAILURES = [
     ("pg", ProjectionFailure), ("apg", ProjectionFailure),
     ("pmlsv", BacktrackOverflow),
@@ -727,6 +751,8 @@ def test_failures_carry_the_last_good_iterate(monkeypatch, algorithm, error):
         cfg = dataclasses.replace(cfg, proj_max_iter=4)
     elif error is BacktrackOverflow:
         monkeypatch.setattr(solvers_mod, "BACKTRACK_L_CAP", full.final_l / 1.01)
+    elif error is SvdFailure and algorithm == "pmlsv":
+        fail_eigh_and_its_fallback(monkeypatch, 20)
     elif error is SvdFailure:
         monkeypatch.setattr(projections_mod, "_svd",
                             fail_on_call(20, projections_mod._svd, error))
