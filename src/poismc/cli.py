@@ -10,10 +10,15 @@ Every file-writing command drops a ``manifest.json`` next to its
 outputs; re-running through the manifest reproduces the artifacts.
 All randomness flows from ``--seed``.
 
-Exit codes: 0 ok, 1 I/O failure, 2 validation, 3 the error carries a
-report (a solve failed after its first iterate; ``complete`` and
-``demo-solar`` then write that report, the last good iterate's, to
-``report.json``), 4 verification violation.
+Every input file is read before the output directory is made, so
+``complete --truth`` is read and checked against ``(d1, d2)`` before the
+solve.
+
+Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
+or an ``--out`` directory that cannot be created), 2 validation, 3 the
+error carries a report (a solve failed after its first iterate;
+``complete`` and ``demo-solar`` then write that report, the last good
+iterate's, to ``report.json``), 4 verification violation.
 """
 
 import argparse
@@ -28,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundConstants, lower_bound, upper_bound
-from .core import FeasibleRegion, mse_per_entry
+from .core import FeasibleRegion, as_matrix, mse_per_entry
 from .errors import CorruptFile, IoFailure, PoismcError, UnsupportedFormat
 from .fileio import (
     SCHEMA_VERSION,
@@ -40,7 +45,7 @@ from .fileio import (
     write_observations_csv,
 )
 from .imaging import read_image, recover_image, to_display, unpatchify, write_image
-from .solvers import SolverConfig, solve
+from .solvers import ALGORITHMS, SolverConfig, solve
 from .synth import SynthesisSpec, make_low_rank, sample_mask, sample_poisson, verify_lemmas
 
 EXIT_OK = 0
@@ -49,7 +54,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
 
-_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat, FileNotFoundError)
+_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat, OSError)
 
 
 def default_demo_image():
@@ -144,13 +149,14 @@ def cmd_complete(args, argv):
     cfg = _solver_config(args)
     if args.baseline and args.truth is None:
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
+    if args.truth is not None:
+        truth = as_matrix(read_matrix_csv(args.truth), shape=region.shape)
     out = _ensure_out(args.out)
     with _keep_failed_report(out, "complete", argv, args.seed):
         report = solve(obs, region, cfg)
     write_matrix_csv(report.estimate, os.path.join(out, "estimate.csv"))
     payload = {"solver": report.to_json_dict()}
     if args.truth is not None:
-        truth = read_matrix_csv(args.truth)
         payload["mse"] = mse_per_entry(truth, report.estimate)
         if args.baseline:
             baseline = np.full(region.shape, (args.alpha + args.beta) / 2.0)
@@ -317,7 +323,7 @@ def build_parser():
     p = sub.add_parser("complete", help="recover a matrix from observations")
     p.add_argument("--obs", required=True, help="observation CSV (header i,j,y)")
     add_region(p)
-    p.add_argument("--algo", dest="algorithm", choices=("pg", "apg", "pmlsv"),
+    p.add_argument("--algo", dest="algorithm", choices=ALGORITHMS,
                    default="pmlsv")
     add_solver(p)
     p.add_argument("--proj-tol", type=float, default=defaults.proj_tol,

@@ -1,11 +1,16 @@
-"""CSV and JSON artifact formats.
+"""CSV and JSON artifact formats, and the package's one way to open a file.
 
 Matrix CSV: plain comma-separated decimal rows, no header, %.17g so
 doubles round-trip exactly. Observation CSV: header ``i,j,y`` with
 zero-based indices. JSON is written sorted and indented so identical
 payloads produce identical bytes.
+
+Every file the package reads or writes is opened through ``_opened``,
+the only place an ``OSError`` becomes ``IoFailure("cannot read|write
+<path>: <errno text>")``. Content that does not parse is ``CorruptFile``.
 """
 
+import contextlib
 import json
 
 import numpy as np
@@ -17,43 +22,44 @@ from .errors import CorruptFile, IoFailure
 SCHEMA_VERSION = 1
 
 
+@contextlib.contextmanager
+def _opened(path, mode="r", **kwargs):
+    """``open(path, mode, **kwargs)``, with any ``OSError`` raised as ``IoFailure``."""
+    verb = "read" if "r" in mode else "write"
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise IoFailure(f"cannot {verb} {path}: {exc}") from exc
+
+
 def write_matrix_csv(m, path):
     m = np.atleast_2d(np.asarray(m, dtype=float))
-    try:
-        np.savetxt(path, m, fmt="%.17g", delimiter=",")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _opened(path, "w") as fh:
+        np.savetxt(fh, m, fmt="%.17g", delimiter=",")
 
 
 def read_matrix_csv(path):
-    try:
-        m = np.loadtxt(path, delimiter=",", ndmin=2)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise CorruptFile(f"bad matrix CSV {path}: {exc}") from exc
-    return m
+    with _opened(path) as fh:
+        try:
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise CorruptFile(f"bad matrix CSV {path}: {exc}") from exc
 
 
 OBS_CSV_HEADER = "i,j,y"
 
 
 def write_observations_csv(obs, path):
-    try:
-        with open(path, "w") as fh:
-            fh.write(OBS_CSV_HEADER + "\n")
-            for i, j, y in zip(obs.rows, obs.cols, obs.counts):
-                fh.write(f"{i},{j},{y}\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _opened(path, "w") as fh:
+        fh.write(OBS_CSV_HEADER + "\n")
+        for i, j, y in zip(obs.rows, obs.cols, obs.counts):
+            fh.write(f"{i},{j},{y}\n")
 
 
 def read_observations_csv(path, d1, d2, m_expected=None):
-    try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with _opened(path) as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != OBS_CSV_HEADER:
         raise CorruptFile(f"{path}: expected header '{OBS_CSV_HEADER}'")
     rows, cols, counts = [], [], []
@@ -78,19 +84,14 @@ def read_observations_csv(path, d1, d2, m_expected=None):
 
 
 def write_json(obj, path):
-    try:
-        with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _opened(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def read_json(path):
-    try:
-        with open(path) as fh:
+    with _opened(path) as fh:
+        try:
             return json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CorruptFile(f"bad JSON {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise CorruptFile(f"bad JSON {path}: {exc}") from exc

@@ -6,7 +6,8 @@ traversed row-major as well. Natural images make that matrix
 approximately low rank, which is what the completion solvers exploit.
 
 File formats: Netpbm PGM (read as P2 ASCII or P5 binary, maxval up to
-65535; written as P2) and headerless CSV.
+65535; written as P2) and headerless CSV. This module parses and formats
+them; ``fileio`` opens every file and owns the I/O failures.
 """
 
 import re
@@ -19,10 +20,10 @@ from .core import FeasibleRegion, as_matrix, mse_per_entry
 from .errors import (
     CorruptFile,
     IndivisibleLayout,
-    IoFailure,
     ShapeMismatch,
     UnsupportedFormat,
 )
+from .fileio import _opened, read_matrix_csv, write_matrix_csv
 from .solvers import solve
 from .synth import sample_mask, sample_poisson
 
@@ -152,14 +153,9 @@ def read_image(path):
     """Read a PGM (by magic) or CSV (by extension) grayscale grid."""
     path = str(path)
     if path.lower().endswith(".csv"):
-        from .fileio import read_matrix_csv
-
         return read_matrix_csv(path)
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(f"cannot read {path}: {exc}") from exc
+    with _opened(path, "rb") as fh:
+        data = fh.read()
     return _parse_pgm(data)
 
 
@@ -172,8 +168,6 @@ def write_image(grid, path):
     path = str(path)
     grid = np.asarray(grid)
     if path.lower().endswith(".csv"):
-        from .fileio import write_matrix_csv
-
         write_matrix_csv(grid, path)
         return
     if grid.ndim != 2:
@@ -186,13 +180,10 @@ def write_image(grid, path):
     if peak > maxval:
         raise ValueError(f"maxval {maxval} cannot represent peak {peak}")
     h, w = g.shape
-    try:
-        with open(path, "wb") as fh:
-            fh.write(f"P2\n{w} {h}\n{maxval}\n".encode())
-            body = "\n".join(" ".join(str(v) for v in row) for row in g)
-            fh.write(body.encode() + b"\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    with _opened(path, "wb") as fh:
+        fh.write(f"P2\n{w} {h}\n{maxval}\n".encode())
+        body = "\n".join(" ".join(str(v) for v in row) for row in g)
+        fh.write(body.encode() + b"\n")
 
 
 def to_display(values, region):

@@ -27,7 +27,7 @@ from .errors import (
     RankInfeasible,
     ShapeMismatch,
 )
-from .fileio import SCHEMA_VERSION
+from .fileio import SCHEMA_VERSION, _opened
 from .likelihood import hellinger_mse_floor, hellinger_sq_matrix, kl
 from .solvers import SolverConfig, SolverReport, solve
 
@@ -206,7 +206,7 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
             }
         )
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
+        with _opened(csv_path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_HEADER.split(","))
             writer.writeheader()
             for row in rows:

@@ -100,6 +100,23 @@ def test_complete_missing_obs_file_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("truth, code, message", [
+    ("absent.csv", 1, "No such file or directory"),
+    ("small.csv", 2, "expected shape (10, 8), got (2, 2)"),
+], ids=["missing", "wrong-shape"])
+def test_complete_reads_truth_before_the_solve(truth, code, message, tmp_path,
+                                              capsys):
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim)) == 0
+    (tmp_path / "small.csv").write_text("1,2\n3,4\n")
+    out = tmp_path / "rec"
+    rc = run(*complete_args(sim / "observations.csv", out,
+                            extra=("--truth", str(tmp_path / truth))))
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_complete_pmlsv_defaults_terminate(tmp_path):
     sim = tmp_path / "sim"
     assert run(*simulate_args(sim, m=60)) == 0
@@ -165,6 +182,10 @@ def test_solver_flag_defaults_come_from_solver_config():
         assert set(args) & set(pmlsv_flags | proj_flags) == set(flags), argv[0]
         for dest, field in flags.items():
             assert args[dest] == getattr(defaults, field), (argv[0], dest)
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    algo = next(a for a in commands.choices["complete"]._actions
+                if a.dest == "algorithm")
+    assert algo.choices == solvers_mod.ALGORITHMS
 
 
 def test_bound_constant_flag_defaults_come_from_bound_constants():
@@ -381,6 +402,30 @@ def test_demo_absent_image_exits_1(tmp_path):
 def test_demo_rejects_bad_fraction(tmp_path):
     rc = run("demo-solar", "--p", "1.5", "--out", str(tmp_path / "d"))
     assert rc == 2
+
+
+# --- output directory ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", ["file", "under-file"])
+@pytest.mark.parametrize("command", ["simulate", "complete", "verify", "demo-solar"])
+def test_uncreatable_out_exits_1_without_traceback(command, bad, tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim)) == 0
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = afile if bad == "file" else afile / "sub"
+    argv = {
+        "simulate": simulate_args(out),
+        "complete": complete_args(sim / "observations.csv", out),
+        "verify": ["verify", "--samples", "20", "--out", str(out)],
+        "demo-solar": ["demo-solar", "--iters", "1", "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert "Traceback" not in err
 
 
 # --- rerun / determinism ----------------------------------------------------------

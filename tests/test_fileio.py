@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poismc import ObservationSet
+from poismc import FeasibleRegion, ObservationSet, SolverConfig, SynthesisSpec
 from poismc.errors import CorruptFile, IoFailure
 from poismc.fileio import (
     read_json,
@@ -11,6 +11,8 @@ from poismc.fileio import (
     write_matrix_csv,
     write_observations_csv,
 )
+from poismc.imaging import read_image, write_image
+from poismc.synth import sweep_m
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):
@@ -75,3 +77,39 @@ def test_json_round_trip_and_stable_bytes(tmp_path):
     write_json(payload, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert read_json(p1) == payload
+
+
+OBS = ObservationSet(d1=2, d2=2, rows=[0], cols=[1], counts=[3])
+SWEEP_SPEC = SynthesisSpec(
+    region=FeasibleRegion(d1=6, d2=6, alpha=9.0, beta=1.0, r=2), mask_m=18.0, seed=0
+)
+
+# (verb, file suffix, call): every reader and writer the package has.
+IO_CALLS = {
+    "write_matrix_csv": ("write", ".csv", lambda p: write_matrix_csv(np.eye(2), p)),
+    "read_matrix_csv": ("read", ".csv", read_matrix_csv),
+    "write_observations_csv": ("write", ".csv", lambda p: write_observations_csv(OBS, p)),
+    "read_observations_csv": ("read", ".csv", lambda p: read_observations_csv(p, 2, 2)),
+    "write_json": ("write", ".json", lambda p: write_json({"a": 1}, p)),
+    "read_json": ("read", ".json", read_json),
+    "write_image-pgm": ("write", ".pgm", lambda p: write_image(np.eye(2), p)),
+    "read_image-pgm": ("read", ".pgm", read_image),
+    "write_image-csv": ("write", ".csv", lambda p: write_image(np.eye(2), p)),
+    "read_image-csv": ("read", ".csv", read_image),
+    "sweep_m": ("write", ".csv", lambda p: sweep_m(
+        SWEEP_SPEC, [18.0], 1, SolverConfig(algorithm="pg", max_iter=2), csv_path=p)),
+}
+
+
+@pytest.mark.parametrize("bad", ["missing-parent", "directory"])
+@pytest.mark.parametrize("name", IO_CALLS)
+def test_every_reader_and_writer_fails_as_io_failure(name, bad, tmp_path):
+    verb, suffix, call = IO_CALLS[name]
+    path = tmp_path / f"f{suffix}"
+    if bad == "missing-parent":
+        path = tmp_path / "absent" / path.name
+    else:
+        path.mkdir()
+    with pytest.raises(IoFailure) as info:
+        call(path)
+    assert str(info.value).startswith(f"cannot {verb} {path}: [Errno ")
