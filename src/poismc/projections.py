@@ -4,14 +4,24 @@
 projections onto the individual sets. ``alternating_projection`` composes
 them to land in the intersection (a feasible point, not the metric
 projection onto the intersection); it proves a clipped point already lies
-in the ball from the singular vectors of the previous ball step where it
-can, before paying for another SVD. ``svt`` soft-thresholds singular
-values, the proximal operator of the nuclear norm. It shrinks through
-one eigendecomposition of the Gram matrix of the shorter side, not an
-SVD, and so differs from the SVD formula by about ``n * eps * sigma_1 /
-tau`` relative, n the longer side; where that could exceed
-``n * 1e-3 * sqrt(eps)`` (``GRAM_SVT_GUARD``), at ``tau == 0``, or where
-the Gram matrix leaves the float range, it runs the SVD formula instead.
+in the ball from the basis of the previous ball step where it can,
+before paying for another decomposition. ``svt`` soft-thresholds singular
+values, the proximal operator of the nuclear norm.
+
+Both spectral operators read the singular values from one
+eigendecomposition of the Gram matrix of the shorter side
+(``_gram_eigh``), not an SVD, and shrink through it
+(``_gram_shrink``). ``svt`` shrinks at ``tau`` and so differs from the
+SVD formula by about ``n * eps * sigma_1 / tau`` relative, n the longer
+side; where that could exceed ``n * 1e-3 * sqrt(eps)``
+(``GRAM_SVT_GUARD``), at ``tau == 0``, or where the Gram matrix leaves
+the float range, it runs the SVD formula instead. The ball step brackets
+the sum of the singular values with a certified error bound
+(``GRAM_BALL_DELTA``): it returns an input the bracket proves inside
+unchanged, and shrinks one it proves outside at the theta of the
+eigenvalues under the same guard; where the bracket straddles the
+radius, the guard fails or the Gram matrix leaves the float range, it
+runs the SVD formula.
 
 The public functions check their arguments, then run an unchecked
 kernel (``_ball_step``, ``_svt``, ``_alternating_projection``). The
@@ -27,19 +37,23 @@ import numpy as np
 from .core import _svd, as_matrix
 from .errors import BadRadius, BadTau, NoConvergence
 
-# Relative margin below the radius under which a computed upper bound on
-# ||X||_* proves a box point lies in the ball; both tests of
-# ``alternating_projection`` use it. For the basis bound B = sum ||X v_i||
-# over LAPACK's computed V, ||X||_* <= ||X V^T||_* * ||V^-T||_2
-# <= B / sigma_min(V). The computed V is orthonormal to about 4e-15 per
-# entry and ||V V^T - I||_2 <= 7e-15 at n = 10..500, so the 1/sigma_min
-# factor costs under 1e-14. Rounding the n-term dot products of X V^T
-# moves B by at most n * gamma_n ~ n**2 * eps / 2 relative (4.4e-12 at
-# n = 200, 1e-9 at n = 3000; typically about sqrt(n) * eps), and the
-# values-only and full-SVD sums of singular values differed by at most
-# 5e-16 on a 200x200 instance. A wider guard only sends points in the
-# band to the full ball step, which returns them unchanged with gap 0; on
-# a 200x200 instance no clipped point lay within 1e-6 of the radius.
+EPS = float(np.finfo(float).eps)
+TINY_NORMAL = float(np.finfo(float).tiny)
+SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
+# Relative margin below the radius under which the basis bound on ||X||_*
+# proves a box point lies in the ball (see ``alternating_projection``).
+# For B = sum ||X q_i|| over a computed basis Q (eigenvectors from
+# ``eigh`` or LAPACK's singular vectors), ||X||_* <= ||X Q||_* *
+# ||Q^-1||_2 <= B / sigma_min(Q). A computed Q is orthonormal to about
+# 4e-15 per entry and ||Q Q^T - I||_2 <= 7e-15 at n = 10..500, so the
+# 1/sigma_min factor costs under 1e-14. Rounding the n-term dot products
+# of X Q moves B by at most n * gamma_n ~ n**2 * eps / 2 relative
+# (4.4e-12 at n = 200, 1e-9 at n = 3000; typically about sqrt(n) * eps).
+# A wider guard only sends points in the band to the ball step, which
+# returns them unchanged with gap 0; on a 200x200 instance no clipped
+# point lay within 1e-6 of the radius. The ball step's own inside test
+# needs no guard: its bracket is certified (``GRAM_BALL_DELTA``).
 BALL_TEST_GUARD = 1e-9
 
 # Largest sigma_1 / tau at which ``_svt`` shrinks through the Gram matrix.
@@ -54,16 +68,44 @@ BALL_TEST_GUARD = 1e-9
 # (n * 1.5e-11; 3e-9 at n = 200), and keeps the neglected second-order
 # term, ||dG|| / tau**2 <= n * 1e-6 relative to the first, small. Small
 # singular values come out of sqrt(lam) with absolute errors of about
-# sqrt(n * eps) * sigma_1, which the cap keeps under tau / 1000, so the
-# Gram path serves the SVT only: the ball step sums every singular value.
-# Subnormal rounding adds at most n * eps * 2**-1023 to an entry of G, so
-# lam_max must be at least the smallest normal number for it to stay
-# within n * eps * lam_max; below that, or past overflow, the SVD formula
-# runs, as LAPACK scales the SVD internally.
+# sqrt(n * eps) * sigma_1, which the cap keeps under tau / 1000; the ball
+# step, which sums every singular value, brackets them (GRAM_BALL_DELTA)
+# and shrinks at its theta under the same cap. Subnormal rounding adds at
+# most n * eps * 2**-1023 to an entry of G, so lam_max must be at least
+# the smallest normal number for it to stay within n * eps * lam_max;
+# below that, or past overflow, the SVD formula runs, as LAPACK scales
+# the SVD internally.
 # Measured per call, relative Frobenius error against the SVD formula:
 # median 3.7e-14, max 2.8e-13 over pmlsv's 343 trials on a 200x200
 # instance; max 4.6e-15 over 2032 trials on the 64x36 demo image.
-GRAM_SVT_GUARD = 1e-3 / math.sqrt(np.finfo(float).eps)
+GRAM_SVT_GUARD = 1e-3 / math.sqrt(EPS)
+
+# Half-width delta, in units of (m + 1) * tr(G), of the bracket that
+# ``_ball_step`` puts on every squared singular value it reads from the
+# Gram matrix G = fl(A^T A), A m x n with m >= n. Each entry of G is an
+# m-term dot product, so |G - A^T A| <= gamma_m |A|^T |A| entrywise
+# (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, 3.5)
+# and ||G - A^T A||_2 <= gamma_m * ||A||_F**2 <= (m + 1) * eps * tr(G).
+# ``eigh`` returns the exact eigenvalues of G + E with
+# ||E||_2 <= p(n) * eps * ||G||_2 (LAPACK Users' Guide, 4.7), p(n) a
+# modest function of n; with p(n) = m + 1 >= n + 1 and ||G||_2 <= tr(G)
+# that is at most (m + 1) * eps * tr(G) too. By Weyl's inequality each
+# computed eigenvalue lam_i then lies within
+# delta = 2 * (m + 1) * eps * tr(G) of sigma_i**2, up to terms of order
+# eps**2. A product that underflows adds at most 2**-1075 to an entry of
+# G, m per entry, so at most n * m * 2**-1075 in 2-norm; the
+# ``n * m * SUBNORMAL`` term of delta covers that and delta's own
+# rounding. From |lam_i - sigma_i**2| <= delta,
+# s_i = sqrt(max(lam_i, 0)) lies within
+# min(sqrt(delta), delta / s_i) = delta / max(s_i, sqrt(delta)) of
+# sigma_i, and the sum of those bounds brackets ||A||_* around sum s_i.
+# Rounding the square roots and the two n-term sums moves the bracket's
+# ends by at most 2 * (n + 1) * eps of their size; the bracket is widened
+# by that much. Measured over the 243 ball steps of pg and apg (100
+# iterations each) on a 200x200 instance, sum s_i differed from the SVD's
+# sum of singular values by at most 0.0044 of the bracket's half-width
+# (median 8e-6).
+GRAM_BALL_DELTA = 2.0 * EPS
 
 # Rounding noise of the alternating-projection gap, in units of
 # sqrt(d1*d2) * eps * ||U||_F; gaps at or below it count as closed.
@@ -103,45 +145,83 @@ def project_nuclear_ball(x, radius):
     Inside the ball the input is returned unchanged. Otherwise the
     singular values are soft-thresholded by the unique theta >= 0 with
     ``sum(max(s_i - theta, 0)) == radius``; theta is found exactly by a
-    breakpoint scan over the sorted singular values.
+    breakpoint scan over the sorted singular values. The singular values
+    come from the eigenvalues of the Gram matrix of the shorter side,
+    with a certified error bracket on their sum (``_ball_step``). Where
+    the bracket proves the input inside, it is returned unchanged; where
+    it proves it outside and ``sigma_1 <= GRAM_SVT_GUARD * theta``, the
+    result is shrunk through the Gram matrix as in ``svt``, within about
+    ``n * eps * sigma_1 / theta`` relative of the SVD formula. Otherwise
+    (the bracket straddles the radius, the guard fails, or the Gram
+    matrix leaves the float range) the SVD formula runs.
     """
     if not radius > 0.0:
         raise BadRadius(f"radius must be > 0, got {radius}")
     return _ball_step(as_matrix(x), radius)[0]
 
 
-def _ball_step(x, radius):
-    """``project_nuclear_ball`` on a checked matrix, with ``x``'s ``(u, vt)``."""
+def _ball_step(x, radius, gram=True):
+    """``project_nuclear_ball`` on a checked matrix, with a basis for ``x``.
+
+    Returns ``(result, q, gram)``. ``q`` is a complete orthonormal basis
+    of the shorter side for ``_basis_bound``: the eigenvectors of the Gram
+    matrix, or the matching singular vectors where the SVD ran. ``gram``
+    says whether the Gram path gave the result; with ``gram=False`` the
+    step runs the SVD formula directly. ``_alternating_projection`` passes
+    it on from one sweep to the next (see there).
+    """
+    spec = _gram_eigh(x) if gram else None
+    if spec is not None:
+        a, g, s, v = spec
+        m, n = a.shape
+        total = float(s.sum())
+        # |s_i - sigma_i| <= delta / max(s_i, sqrt(delta)); see
+        # GRAM_BALL_DELTA. tr(G) can overflow where lam_max does not.
+        delta = GRAM_BALL_DELTA * (m + 1) * float(g.trace()) + n * m * SUBNORMAL
+        if delta < math.inf:
+            width = float((delta / np.maximum(s, math.sqrt(delta))).sum())
+            width += 2 * (n + 1) * EPS * (total + width)
+            if total + width <= radius:
+                return np.array(x), v, True
+            if total - width > radius:
+                theta = _ball_theta(s[::-1], radius)
+                if s[-1] <= GRAM_SVT_GUARD * theta:
+                    return _gram_shrink(x, a, s, v, theta), v, True
     u, s, vt = _svd(x)
-    total = float(s.sum())
-    if total <= radius:
-        return np.array(x), u, vt
-    # s is sorted descending; find the largest active set k with
-    # s_k > (cumsum_k - radius) / k, then theta makes the sum hit radius.
-    # In exact arithmetic index 1 is always active; for a radius below the
-    # rounding of s_1 the scan can lose it, and then k = 1 is the answer.
+    q = vt.T if x.shape[0] >= x.shape[1] else u
+    if float(s.sum()) <= radius:
+        return np.array(x), q, False
+    return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q, False
+
+
+def _ball_theta(s, radius):
+    """The theta of ``project_nuclear_ball`` for singular values ``s``.
+
+    ``s`` is sorted descending and sums to more than ``radius``.
+    """
+    # Find the largest active set k with s_k > (cumsum_k - radius) / k,
+    # then theta makes the sum hit radius. In exact arithmetic index 1 is
+    # always active; for a radius below the rounding of s_1 the scan can
+    # lose it, and then k = 1 is the answer.
     css = np.cumsum(s)
-    ks = np.arange(1, s.size + 1)
-    active = np.nonzero(s - (css - radius) / ks > 0.0)[0]
+    active = np.nonzero(s - (css - radius) / np.arange(1, s.size + 1) > 0.0)[0]
     k = int(active[-1]) + 1 if active.size else 1
-    theta = (css[k - 1] - radius) / k
-    shrunk = np.maximum(s - theta, 0.0)
-    return (u * shrunk) @ vt, u, vt
+    return (css[k - 1] - radius) / k
 
 
-def _basis_bound(x, u, vt):
-    """Upper bound on ``||x||_*`` from the thin SVD factors of any matrix.
+def _basis_bound(x, q):
+    """Upper bound on ``||x||_*`` from a complete orthonormal basis ``q``.
 
     For any complete orthonormal basis ``q_i``, ``||x||_* <= sum ||x q_i||``
-    (the nuclear norm is dual to the operator norm). The complete factor is
-    ``vt`` (d2 x d2) when d1 >= d2 and ``u`` (d1 x d1) when d1 < d2; the
-    thin SVD of a wide matrix has only d1 right vectors, and a sum over
-    those is not a bound. In exact arithmetic equality holds when the
-    factors are ``x``'s own.
+    (the nuclear norm is dual to the operator norm). ``q`` spans the
+    shorter side: it multiplies ``x`` from the right when ``x`` is tall or
+    square and ``x.T`` when ``x`` is wide, as ``_ball_step`` returns it;
+    the thin SVD of a wide matrix has only d1 right vectors, and a sum over
+    those is not a bound. In exact arithmetic equality holds when ``q`` is
+    ``x``'s own right singular basis (of ``x.T`` when wide).
     """
-    if x.shape[0] >= x.shape[1]:
-        return _no_underflow(lambda a: np.linalg.norm(a @ vt.T, axis=0).sum(), x)
-    return _no_underflow(lambda a: np.linalg.norm(u.T @ a, axis=1).sum(), x)
+    a = x.T if x.shape[0] < x.shape[1] else x
+    return _no_underflow(lambda b: np.linalg.norm(b @ q, axis=0).sum(), a)
 
 
 def _fro_norm(x):
@@ -183,43 +263,59 @@ def _svt(x, tau):
     """``svt`` on a checked matrix and ``tau >= 0``.
 
     Computed through the Gram matrix of the shorter side
-    (``_gram_svt``) where that is accurate, else by the SVD formula
+    (``_gram_shrink``) where that is accurate, else by the SVD formula
     ``(u * max(s - tau, 0)) @ vt``: when ``tau == 0``, when
-    ``sigma_1 > GRAM_SVT_GUARD * tau``, when the largest Gram eigenvalue
-    is not a finite normal number (the Gram matrix overflowed, underflowed
-    or holds NaN), or when the eigendecomposition raises. An SVD that
-    fails raises ``SvdFailure``.
+    ``sigma_1 > GRAM_SVT_GUARD * tau``, or where ``_gram_eigh`` returns
+    None. An SVD that fails raises ``SvdFailure``.
     """
-    wide = x.shape[0] < x.shape[1]
-    shrunk = _gram_svt(x.T if wide else x, tau) if tau > 0.0 and x.size else None
-    if shrunk is None:
-        u, s, vt = _svd(x)
-        return (u * np.maximum(s - tau, 0.0)) @ vt
-    return shrunk.T if wide else shrunk
+    spec = _gram_eigh(x) if tau > 0.0 else None
+    if spec is not None:
+        a, _, s, v = spec
+        if s[-1] <= GRAM_SVT_GUARD * tau:
+            return _gram_shrink(x, a, s, v, tau)
+    u, s, vt = _svd(x)
+    return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
-def _gram_svt(x, tau):
-    """``_svt`` of a tall ``x`` from ``eigh(x.T @ x)``, or None to fall back.
+def _gram_eigh(x):
+    """``eigh`` of the Gram matrix of ``x``'s shorter side, or None.
 
-    With ``x.T @ x = V diag(lam) V.T`` and ``x = U diag(sigma) V.T``,
-    ``x @ V = U diag(sigma)``, so the shrunk matrix is
-    ``(x @ V) diag(f) V.T`` with ``f_i = max(1 - tau / sqrt(lam_i), 0)``.
-    Only the columns of ``V`` with ``sqrt(lam_i) > tau`` enter; the
-    others have ``f_i = 0``. Returns None where ``GRAM_SVT_GUARD`` or the
-    range of the eigenvalues rules the result out (see ``_svt``).
+    Returns ``(a, g, s, v)``: ``a`` is ``x``, or ``x.T`` when ``x`` is
+    wide, so ``a`` is tall; ``g = a.T @ a = v diag(lam) v.T`` as computed,
+    with ``lam`` ascending, and ``s = sqrt(max(lam, 0))`` estimates the
+    singular values of ``x``. Returns None for an empty ``x``, when the
+    eigendecomposition raises, or when the largest eigenvalue is not a
+    finite normal number (the Gram matrix overflowed, underflowed or
+    holds NaN); the callers then run the SVD.
     """
+    a = x.T if x.shape[0] < x.shape[1] else x
+    if not a.size:
+        return None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            lam, v = np.linalg.eigh(x.T @ x)
+            g = a.T @ a
+            lam, v = np.linalg.eigh(g)
     except np.linalg.LinAlgError:
         return None
-    if not (np.finfo(float).tiny <= lam[-1] < np.inf
-            and math.sqrt(lam[-1]) <= GRAM_SVT_GUARD * tau):
+    if not TINY_NORMAL <= lam[-1] < math.inf:
         return None
-    s = np.sqrt(np.maximum(lam, 0.0))
+    return a, g, np.sqrt(np.maximum(lam, 0.0)), v
+
+
+def _gram_shrink(x, a, s, v, tau):
+    """``x``'s singular values shrunk by ``tau``, from ``_gram_eigh(x)``.
+
+    With ``a.T @ a = V diag(lam) V.T`` and ``a = U diag(sigma) V.T``,
+    ``a @ V = U diag(sigma)``, so the shrunk matrix is
+    ``(a @ V) diag(f) V.T`` with ``f_i = max(1 - tau / s_i, 0)``,
+    ``s_i = sqrt(lam_i)``. Only the columns of ``V`` with ``s_i > tau``
+    enter; the others have ``f_i = 0``. Transposed back when ``a`` is
+    ``x.T``.
+    """
     keep = s > tau
     v = v[:, keep]
-    return ((x @ v) * (1.0 - tau / s[keep])) @ v.T
+    shrunk = ((a @ v) * (1.0 - tau / s[keep])) @ v.T
+    return shrunk if a is x else shrunk.T
 
 
 def alternating_projection(u0, region, tol=1e-6, max_iter=500):
@@ -235,26 +331,30 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
 
     The second sweep starts from a box point, ``U_1``. If it already lies
     in the ball, the sweep would return it unchanged with gap 0 whatever
-    ``tol`` is. So that sweep first tries to prove ``||U_1||_*`` is below
-    ``radius * (1 - BALL_TEST_GUARD)``, cheapest test first, and returns
-    ``U_1`` with ``final_gap=0.0`` if either succeeds:
-
-    1. the basis bound ``sum ||U_1 q_i||`` over the complete singular
-       basis of the first sweep's SVD (``_basis_bound``), one matrix
-       product. The basis must be complete: for a wide matrix that is
-       ``u``, since the thin SVD gives it only d1 right vectors;
-    2. the sum of ``U_1``'s singular values from an SVD without vectors,
-       about 0.4 of a full SVD.
-
-    Otherwise the sweep runs the full ball step. The guard exceeds the
-    rounding of both sums (see ``BALL_TEST_GUARD``), so only a point the
+    ``tol`` is. So that sweep first tries the basis bound
+    ``sum ||U_1 q_i||`` over the complete basis ``q`` of the first
+    sweep's ball step (``_basis_bound``), one matrix product, and returns
+    ``U_1`` with ``final_gap=0.0`` if it is below
+    ``radius * (1 - BALL_TEST_GUARD)``. The basis is the eigenvectors of
+    the Gram matrix of the shorter side, or the matching complete
+    singular factor where the ball step ran the SVD: for a wide matrix
+    ``u``, since the thin SVD gives it only d1 right vectors. Otherwise
+    the sweep runs the ball step, whose bracket on the sum of the
+    singular values proves most of the remaining inside points from the
+    same ``eigh`` it would shrink through. The guard exceeds the rounding
+    of the basis bound (see ``BALL_TEST_GUARD``), so only a point the
     ball step would leave alone skips it, and the result, iteration count
-    and gap equal those of the plain loop. The other sweeps have no such
-    test. The first starts from an arbitrary point, in the solvers a
-    gradient step, which usually lies outside the ball. Past the second,
-    the ball bound on the previous box point; it then tends to keep
-    binding until the gap closes, so a test there would mostly be a
-    wasted SVD.
+    and gap equal those of the plain loop. The first sweep has no such
+    test: it starts from an arbitrary point, in the solvers a gradient
+    step, which usually lies outside the ball.
+
+    Past the second sweep the ball bound on the previous box point, and
+    it tends to keep binding with a theta that shrinks as the gap closes,
+    so sigma_1 / theta grows. Once a sweep from the second on has had to
+    run the SVD (``GRAM_SVT_GUARD`` failed, the bracket straddled the
+    radius, or the Gram matrix left the float range), the later sweeps of
+    the call run the SVD formula directly, without first paying for an
+    ``eigh`` that would most likely fall back as well.
 
     Raises
     ------
@@ -273,14 +373,14 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
 def _alternating_projection(u, region, tol, max_iter):
     """``alternating_projection`` on a checked matrix, ``tol`` and ``max_iter``."""
     radius = region.nuclear_radius
-    noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * np.finfo(float).eps
+    noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * EPS
     gap = np.inf
     inside = radius * (1.0 - BALL_TEST_GUARD)
+    gram = True
     for j in range(1, max_iter + 1):
-        if j == 2 and (_basis_bound(u, *factors) <= inside
-                       or float(_svd(u, compute_uv=False).sum()) <= inside):
+        if j == 2 and _basis_bound(u, basis) <= inside:
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
-        v, *factors = _ball_step(u, radius)
+        v, basis, gram = _ball_step(u, radius, gram or j <= 2)
         u = np.clip(v, region.beta, region.alpha)
         gap = _fro_norm(v - u)
         if gap <= tol or gap <= noise * _fro_norm(u):

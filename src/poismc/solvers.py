@@ -3,7 +3,12 @@
 Three schemes, all starting from the count-seeded initializer:
 
 * ``pg``     projected gradient at fixed step 1/L, L = alpha/beta**2,
-  feasibility via alternating projection onto box-and-ball;
+  feasibility via alternating projection onto box-and-ball. Its ball
+  step reads the singular values from one eigendecomposition of the
+  Gram matrix, brackets their sum with a certified error bound, and
+  shrinks through the same eigendecomposition where the bracket proves
+  the point outside and ``GRAM_SVT_GUARD`` holds at its theta; else it
+  runs the SVD formula (see ``projections``);
 * ``apg``    the same step with Nesterov momentum (k-1)/(k+2);
 * ``pmlsv``  nuclear-norm regularized singular-value shrinkage with
   box projection and backtracking on the reciprocal step size L over

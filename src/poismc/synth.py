@@ -178,12 +178,26 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
     ``m_list``; trial seeds derive from ``spec.seed`` and the (m, trial)
     position so extending the grid or the trial count never reruns
     differently. Returns one row dict per m and optionally writes the
-    table as CSV.
+    table as CSV. The CSV is opened before the first trial, so a path
+    that cannot be written raises ``IoFailure`` before any trial runs.
     """
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise BadM("m_list must be strictly increasing")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if csv_path is None:
+        return _sweep_rows(spec, m_list, trials, cfg)
+    with _opened(csv_path, "w", newline="") as fh:
+        rows = _sweep_rows(spec, m_list, trials, cfg)
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_HEADER.split(","))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+    return rows
+
+
+def _sweep_rows(spec, m_list, trials, cfg):
+    """The rows of ``sweep_m``, one per entry of ``m_list``."""
     rows = []
     for mi, m in enumerate(m_list):
         results = []
@@ -205,12 +219,6 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
                 ),
             }
         )
-    if csv_path is not None:
-        with _opened(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SWEEP_CSV_HEADER.split(","))
-            writer.writeheader()
-            for row in rows:
-                writer.writerow(row)
     return rows
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from poismc import FeasibleRegion, ObservationSet, SolverConfig, SynthesisSpec
+from poismc import FeasibleRegion, ObservationSet, SolverConfig, SynthesisSpec, synth
 from poismc.errors import CorruptFile, IoFailure
 from poismc.fileio import (
     read_json,
@@ -113,3 +113,18 @@ def test_every_reader_and_writer_fails_as_io_failure(name, bad, tmp_path):
     with pytest.raises(IoFailure) as info:
         call(path)
     assert str(info.value).startswith(f"cannot {verb} {path}: [Errno ")
+
+
+@pytest.mark.parametrize("bad", ["missing-parent", "directory"])
+def test_sweep_m_fails_before_any_trial(bad, tmp_path, monkeypatch):
+    # The CSV is opened first, so a bad path costs no trial.
+    trials = []
+    monkeypatch.setattr(synth, "run_trial", lambda *args: trials.append(args))
+    path = tmp_path / "sweep.csv"
+    if bad == "missing-parent":
+        path = tmp_path / "absent" / path.name
+    else:
+        path.mkdir()
+    with pytest.raises(IoFailure):
+        IO_CALLS["sweep_m"][2](path)
+    assert trials == []

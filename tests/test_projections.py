@@ -14,7 +14,8 @@ from poismc import (
     svt,
 )
 from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
-from poismc.projections import BALL_TEST_GUARD, GRAM_SVT_GUARD, _basis_bound
+from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, _ball_step,
+                                _basis_bound)
 
 from test_solvers import binding_instance, hadamard
 
@@ -146,6 +147,133 @@ def test_ball_rejects_bad_radius():
         project_nuclear_ball(np.eye(2), 0.0)
 
 
+def ball_svd_formula(x, radius):
+    """The ball step's SVD formula: the breakpoint scan over LAPACK's values."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    if s.sum() <= radius:
+        return x.copy()
+    css = np.cumsum(s)
+    active = np.nonzero(s - (css - radius) / np.arange(1, s.size + 1) > 0.0)[0]
+    k = int(active[-1]) + 1 if active.size else 1
+    return (u * np.maximum(s - (css[k - 1] - radius) / k, 0.0)) @ vt
+
+
+# radius / ||x||_*: binding, near the radius on either side, a tiny theta,
+# and inside
+BALL_RADII = st.one_of(
+    st.floats(0.01, 0.99),
+    st.sampled_from([-1e-9, -1e-12, -1e-15, 0.0, 1e-15, 1e-12, 1e-9])
+    .map(lambda e: 1.0 + e),
+    st.floats(-14.0, -4.0).map(lambda e: 1.0 - 10.0**e),
+    st.floats(1.01, 3.0),
+)
+
+
+@st.composite
+def ball_cases(draw):
+    """A tall, wide or square rank-r matrix at scale 1e-150, 1 or 1e150."""
+    d1, d2 = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(d1, d2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    unit = rng.normal(size=(d1, r)) @ rng.normal(size=(r, d2))
+    scale = draw(st.sampled_from([1e-150, 1.0, 1e150]))
+    radius = draw(BALL_RADII) * scale * np.linalg.svd(unit, compute_uv=False).sum()
+    return scale * unit, radius
+
+
+@settings(max_examples=400, deadline=None)
+@given(ball_cases())
+def test_ball_is_the_svd_formula_within_the_gram_bound(case):
+    # Shrunk through the Gram matrix at theta, the result errs by about
+    # n * eps * sigma_1 / theta relative, as in svt. Its theta is the mean
+    # of k active values sqrt(lam_i) less radius / k, each off by about
+    # eps * sigma_1**2 / sigma_i < eps * sigma_1**2 / theta, which moves
+    # the result by sqrt(k) times that. The SVD formula, and an input the
+    # bracket proves inside, err by about n * eps. The bound takes
+    # ||x||_F for sigma_1 and n = d1 + d2, as the svt bound does.
+    x, radius = case
+    got = project_nuclear_ball(x, radius)
+    s = np.linalg.svd(x, compute_uv=False)
+    theta = bisect_theta(s, radius) if s.sum() > radius else 0.0
+    fro = np.linalg.norm(x)
+    ratio = fro / theta if theta > 0.0 else 0.0
+    bound = sum(x.shape) * np.finfo(float).eps * fro * (1.0 + ratio)
+    want = ball_oracle(x, radius)
+    assert np.linalg.norm(got - want) <= bound
+
+
+def unit_3x5():
+    x = wide_3x5(1.0)
+    return x, np.linalg.svd(x, compute_uv=False).sum()
+
+
+# name: (scale of the matrix, radius / ||x||_*)
+BALL_FALLBACKS = {
+    "bracket straddles": (1.0, 1.0),
+    "sigma_1 over guard": (1.0, 1.0 - 1e-7),
+    "gram overflows": (1e160, 0.5),
+    "gram underflows": (1e-160, 0.5),
+    "eigh raises": (1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("tall", [False, True])
+@pytest.mark.parametrize("name", BALL_FALLBACKS)
+def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
+    scale, frac = BALL_FALLBACKS[name]
+    x, nuclear = unit_3x5()
+    x, radius = scale * (x.T.copy() if tall else x), frac * scale * nuclear
+    want = ball_svd_formula(x, radius)
+    if name == "eigh raises":
+        raise_in_eigh(monkeypatch)
+    counts = count_decompositions(monkeypatch)
+    got, q, gram = _ball_step(x, radius)
+    assert counts == {"eigh": 1, "full": 1, "values": 0}
+    assert not gram
+    assert np.array_equal(got, want)
+    assert q.shape == (3, 3)
+
+
+def test_ball_step_without_the_gram_path_runs_only_the_svd(monkeypatch):
+    x, nuclear = unit_3x5()
+    counts = count_decompositions(monkeypatch)
+    got, _, gram = _ball_step(x, 0.5 * nuclear, gram=False)
+    assert counts == {"eigh": 0, "full": 1, "values": 0}
+    assert not gram
+    assert np.array_equal(got, ball_svd_formula(x, 0.5 * nuclear))
+
+
+@pytest.mark.parametrize("frac", [0.5, 1.0 + 1e-6])
+@pytest.mark.parametrize("tall", [False, True])
+def test_ball_step_on_the_gram_path_skips_the_svd(monkeypatch, frac, tall):
+    # Binding at theta well above sigma_1 / GRAM_SVT_GUARD, or proved
+    # inside by the bracket: one eigh of the 3x3 Gram matrix, no SVD.
+    x, nuclear = unit_3x5()
+    x = x.T.copy() if tall else x
+    want = ball_svd_formula(x, frac * nuclear)
+    counts = count_decompositions(monkeypatch)
+    got, q, gram = _ball_step(x, frac * nuclear)
+    assert counts == {"eigh": 1, "full": 0, "values": 0}
+    assert gram
+    assert q.shape == (3, 3)
+    if frac > 1.0:
+        assert np.array_equal(got, x)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_ball_and_svt_of_an_empty_matrix(shape):
+    x = np.zeros(shape)
+    assert project_nuclear_ball(x, 1.0).shape == shape
+    assert svt(x, 1.0).shape == shape
+
+
+def test_ball_of_nan_raises_svd_failure():
+    with pytest.raises(SvdFailure):
+        project_nuclear_ball(np.full((4, 3), np.nan), 1.0)
+
+
 # --- singular value shrinkage ---------------------------------------------------
 
 
@@ -252,9 +380,9 @@ def test_svt_of_a_pmlsv_sized_step_takes_the_gram_path(monkeypatch):
     x = rng.uniform(1.0, 3.0, (200, 4)) @ rng.uniform(0.25, 0.75, (4, 200))
     x += rng.normal(size=x.shape) * (rng.random(x.shape) < 0.5)
     want = svd_formula(x, 0.1)
-    counts = count_svds(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     got = svt(x, 0.1)
-    assert counts == {"full": 0, "values": 0}
+    assert counts == {"eigh": 1, "full": 0, "values": 0}
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -262,29 +390,33 @@ def wide_3x5(scale):
     return scale * np.random.default_rng(11).normal(size=(3, 5))
 
 
-# name: (scale of the matrix, tau / sigma_1)
+# name: (scale of the matrix, tau / sigma_1, eigh calls)
 SVT_FALLBACKS = {
-    "tau 0": (1.0, 0.0),
-    "sigma_1 over guard": (1.0, 0.5 / GRAM_SVT_GUARD),
-    "gram overflows": (1e160, 0.1),
-    "gram underflows": (1e-160, 0.1),
-    "eigh raises": (1.0, 0.1),
+    "tau 0": (1.0, 0.0, 0),
+    "sigma_1 over guard": (1.0, 0.5 / GRAM_SVT_GUARD, 1),
+    "gram overflows": (1e160, 0.1, 1),
+    "gram underflows": (1e-160, 0.1, 1),
+    "eigh raises": (1.0, 0.1, 1),
 }
+
+
+def raise_in_eigh(monkeypatch):
+    def eigh(a):
+        raise np.linalg.LinAlgError("forced")
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
 
 
 @pytest.mark.parametrize("name", SVT_FALLBACKS)
 def test_svt_falls_back_to_the_svd_formula(monkeypatch, name):
-    scale, tau_ratio = SVT_FALLBACKS[name]
+    scale, tau_ratio, eighs = SVT_FALLBACKS[name]
     x = wide_3x5(scale)
     tau = tau_ratio * np.linalg.norm(x, 2)
     want = svd_formula(x, tau)
     if name == "eigh raises":
-        def eigh(a):
-            raise np.linalg.LinAlgError("forced")
-        monkeypatch.setattr(np.linalg, "eigh", eigh)
-    counts = count_svds(monkeypatch)
+        raise_in_eigh(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     got = svt(x, tau)
-    assert counts == {"full": 1, "values": 0}
+    assert counts == {"eigh": eighs, "full": 1, "values": 0}
     assert np.array_equal(got, want)
 
 
@@ -294,9 +426,9 @@ def test_svt_on_the_gram_side_of_the_guard_skips_the_svd(monkeypatch):
     tau = 2.0 * np.linalg.norm(x, 2) / GRAM_SVT_GUARD
     grams, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
-    counts = count_svds(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     svt(x, tau)
-    assert counts == {"full": 0, "values": 0}
+    assert counts == {"eigh": 1, "full": 0, "values": 0}
     assert grams == [(3, 3)]
 
 
@@ -380,12 +512,19 @@ def test_altproj_gap_does_not_underflow_at_tiny_scales():
 
 
 def altproj_reference(u0, reg, tol, max_iter):
-    """Plain ball-then-box loop: a full SVD on every sweep, same closing rule."""
+    """Plain ball-then-box loop: one ball step on every sweep, same closing rule.
+
+    The ball step is the kernel's, and skips the Gram path where the
+    kernel's loop does: from the third sweep on, once a sweep from the
+    second on has run the SVD. Only the second sweep's basis-bound test
+    is left out.
+    """
     u = np.asarray(u0, dtype=float)
     noise = 4.0 * np.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
+    gram = True
     for j in range(1, max_iter + 1):
-        v = project_nuclear_ball(u, reg.nuclear_radius)
+        v, _, gram = _ball_step(u, reg.nuclear_radius, gram or j <= 2)
         u = project_box(v, reg)
         gap = float(np.linalg.norm(v - u))
         if gap <= max(tol, noise * np.linalg.norm(u)):
@@ -451,25 +590,32 @@ def test_altproj_bit_equal_to_full_svd_loop(case):
     assert rep.final_gap == gap
 
 
-def count_svds(monkeypatch):
-    counts = {"full": 0, "values": 0}
-    svd = np.linalg.svd
+def count_decompositions(monkeypatch):
+    """Count ``eigh`` calls and SVDs with (full) and without (values) vectors."""
+    counts = {"eigh": 0, "full": 0, "values": 0}
+    svd, eigh = np.linalg.svd, np.linalg.eigh
 
-    def counted(x, full_matrices=True, compute_uv=True, **kw):
+    def counted_svd(x, full_matrices=True, compute_uv=True, **kw):
         counts["full" if compute_uv else "values"] += 1
         return svd(x, full_matrices=full_matrices, compute_uv=compute_uv, **kw)
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
+    def counted_eigh(a):
+        counts["eigh"] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return counts
 
 
 def test_altproj_clip_inside_ball_skips_full_svd(monkeypatch):
     # The ball binds on the start; its clip, all 3.0, lies well inside it,
-    # and the first sweep's singular vectors prove so without another SVD.
+    # and the first sweep's eigenvectors prove so without another
+    # decomposition.
     reg = region(d1=3, d2=3, alpha=3.0, beta=1.0, r=3)
-    counts = count_svds(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     rep = alternating_projection(np.full((3, 3), 6.0), reg)
-    assert counts == {"full": 1, "values": 0}
+    assert counts == {"eigh": 1, "full": 0, "values": 0}
     assert rep.iterations == 2
     assert rep.final_gap == 0.0
     assert np.array_equal(rep.result, np.full((3, 3), 3.0))
@@ -478,15 +624,16 @@ def test_altproj_clip_inside_ball_skips_full_svd(monkeypatch):
 def test_altproj_values_only_sum_proves_what_the_basis_bound_cannot(monkeypatch):
     # The start lies in the ball (radius 2), so the first sweep's basis is
     # the standard one. The clip [[1, .9], [.9, .9]] has nuclear norm 1.9,
-    # but its column norms sum to 2.62: only the values-only SVD proves it.
+    # but its column norms sum to 2.62: only the bracket on the sum of its
+    # singular values, from the ball step's own eigh, proves it.
     reg = region(d1=2, d2=2, alpha=1.0, beta=0.9, r=1)
     u0 = np.diag([1.0, -0.5])
     clip = np.array([[1.0, 0.9], [0.9, 0.9]])
-    u, _, vt = np.linalg.svd(u0)
-    assert _basis_bound(clip, u, vt) > reg.nuclear_radius
-    counts = count_svds(monkeypatch)
+    basis = _ball_step(u0, reg.nuclear_radius)[1]
+    assert _basis_bound(clip, basis) > reg.nuclear_radius
+    counts = count_decompositions(monkeypatch)
     rep = alternating_projection(u0, reg)
-    assert counts == {"full": 1, "values": 1}
+    assert counts == {"eigh": 2, "full": 0, "values": 0}
     assert rep.iterations == 2
     assert rep.final_gap == 0.0
     assert np.array_equal(rep.result, clip)
@@ -511,19 +658,26 @@ def bound_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(bound_cases())
 def test_basis_bound_never_undercuts_the_nuclear_norm(case):
-    # The bound over the complete factor of a nearby matrix's SVD, as the
-    # second sweep uses it, stays above ||x||_* within the guard.
+    # The bound over a nearby matrix's complete basis, as the second sweep
+    # uses it, stays above ||x||_* within the guard: the eigenvectors of
+    # its Gram matrix, and the complete factor of its SVD.
     x, nearby = case
+    tall = nearby.shape[0] >= nearby.shape[1]
     u, _, vt = np.linalg.svd(nearby, full_matrices=False)
-    assert _basis_bound(x, u, vt) >= nuclear_norm(x) * (1.0 - BALL_TEST_GUARD)
+    a = nearby if tall else nearby.T
+    for q in (np.linalg.eigh(a.T @ a)[1], vt.T if tall else u):
+        assert _basis_bound(x, q) >= nuclear_norm(x) * (1.0 - BALL_TEST_GUARD)
 
 
 def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
-    # The ball binds on every sweep, so after the second sweep's test
-    # fails no further values-only SVD is spent.
+    # The ball binds on every sweep, so after the second sweep's basis
+    # bound fails no decomposition is spent on a test: each sweep makes
+    # one, except the one sweep whose Gram path falls back to the SVD and
+    # so makes two; the sweeps after it run the SVD directly.
     obs, reg = binding_instance(0)
     u0 = init_matrix(obs, reg)
-    counts = count_svds(monkeypatch)
+    counts = count_decompositions(monkeypatch)
     rep = alternating_projection(u0, reg, tol=1e-6)
     assert rep.iterations > 3
-    assert counts == {"full": rep.iterations, "values": 1}
+    assert counts["values"] == 0
+    assert counts["eigh"] + counts["full"] == rep.iterations + 1
