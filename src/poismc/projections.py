@@ -8,20 +8,29 @@ in the ball from the basis of the previous ball step where it can,
 before paying for another decomposition. ``svt`` soft-thresholds singular
 values, the proximal operator of the nuclear norm.
 
-Both spectral operators read the singular values from one
-eigendecomposition of the Gram matrix of the shorter side
-(``_gram_eigh``), not an SVD, and shrink through it
-(``_gram_shrink``). ``svt`` shrinks at ``tau`` and so differs from the
-SVD formula by about ``n * eps * sigma_1 / tau`` relative, n the longer
-side; where that could exceed ``n * 1e-3 * sqrt(eps)``
-(``GRAM_SVT_GUARD``), at ``tau == 0``, or where the Gram matrix leaves
-the float range, it runs the SVD formula instead. The ball step brackets
-the sum of the singular values with a certified error bound
-(``GRAM_BALL_DELTA``): it returns an input the bracket proves inside
-unchanged, and shrinks one it proves outside at the theta of the
-eigenvalues under the same guard; where the bracket straddles the
-radius, the guard fails or the Gram matrix leaves the float range, it
-runs the SVD formula.
+Decomposition policy. Both spectral operators read the singular values
+from one eigendecomposition of the Gram matrix of the shorter side
+(``_gram_eigh``), not an SVD, and shrink through it (``_gram_shrink``):
+
+* ``svt`` shrinks at ``tau`` and so differs from the SVD formula by
+  about ``n * eps * sigma_1 / tau`` relative, n the longer side; where
+  that could exceed ``n * 1e-3 * sqrt(eps)`` (``GRAM_SVT_GUARD``), at
+  ``tau == 0``, or where the Gram matrix leaves the float range, it runs
+  the SVD formula instead.
+* The ball step brackets the sum of the singular values with a
+  certified error bound (``GRAM_BALL_DELTA``): it returns an input the
+  bracket proves inside unchanged, and shrinks one it proves outside at
+  the theta of the eigenvalues under the same guard; where the bracket
+  straddles the radius, the guard fails or the Gram matrix leaves the
+  float range, it runs the SVD formula.
+* ``alternating_projection`` takes the ball step's Gram path on its
+  first two sweeps only, and the second sweep first tries the basis
+  bound. A third sweep runs only where the ball bound on the second, and
+  it tends to keep binding with a theta that shrinks as the gap closes,
+  so sigma_1 / theta grows and the guard would most likely fail after
+  the ``eigh`` had been paid for: from the third sweep on the ball step
+  runs the SVD formula directly. The sweep number alone picks the
+  decomposition.
 
 The public functions check their arguments, then run an unchecked
 kernel (``_ball_step``, ``_svt``, ``_alternating_projection``). The
@@ -145,15 +154,10 @@ def project_nuclear_ball(x, radius):
     Inside the ball the input is returned unchanged. Otherwise the
     singular values are soft-thresholded by the unique theta >= 0 with
     ``sum(max(s_i - theta, 0)) == radius``; theta is found exactly by a
-    breakpoint scan over the sorted singular values. The singular values
-    come from the eigenvalues of the Gram matrix of the shorter side,
-    with a certified error bracket on their sum (``_ball_step``). Where
-    the bracket proves the input inside, it is returned unchanged; where
-    it proves it outside and ``sigma_1 <= GRAM_SVT_GUARD * theta``, the
-    result is shrunk through the Gram matrix as in ``svt``, within about
-    ``n * eps * sigma_1 / theta`` relative of the SVD formula. Otherwise
-    (the bracket straddles the radius, the guard fails, or the Gram
-    matrix leaves the float range) the SVD formula runs.
+    breakpoint scan over the sorted singular values. The result is
+    within about ``n * eps * (1 + sigma_1 / theta)`` relative of the SVD
+    formula, n the longer side; the module docstring says when it comes
+    from the Gram matrix and when from the SVD.
     """
     if not radius > 0.0:
         raise BadRadius(f"radius must be > 0, got {radius}")
@@ -163,12 +167,10 @@ def project_nuclear_ball(x, radius):
 def _ball_step(x, radius, gram=True):
     """``project_nuclear_ball`` on a checked matrix, with a basis for ``x``.
 
-    Returns ``(result, q, gram)``. ``q`` is a complete orthonormal basis
-    of the shorter side for ``_basis_bound``: the eigenvectors of the Gram
-    matrix, or the matching singular vectors where the SVD ran. ``gram``
-    says whether the Gram path gave the result; with ``gram=False`` the
-    step runs the SVD formula directly. ``_alternating_projection`` passes
-    it on from one sweep to the next (see there).
+    Returns ``(result, q)``. ``q`` is a complete orthonormal basis of the
+    shorter side for ``_basis_bound``: the eigenvectors of the Gram
+    matrix, or the matching singular vectors where the SVD ran. With
+    ``gram=False`` the step runs the SVD formula directly.
     """
     spec = _gram_eigh(x) if gram else None
     if spec is not None:
@@ -182,16 +184,16 @@ def _ball_step(x, radius, gram=True):
             width = float((delta / np.maximum(s, math.sqrt(delta))).sum())
             width += 2 * (n + 1) * EPS * (total + width)
             if total + width <= radius:
-                return np.array(x), v, True
+                return np.array(x), v
             if total - width > radius:
                 theta = _ball_theta(s[::-1], radius)
                 if s[-1] <= GRAM_SVT_GUARD * theta:
-                    return _gram_shrink(x, a, s, v, theta), v, True
+                    return _gram_shrink(x, a, s, v, theta), v
     u, s, vt = _svd(x)
     q = vt.T if x.shape[0] >= x.shape[1] else u
     if float(s.sum()) <= radius:
-        return np.array(x), q, False
-    return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q, False
+        return np.array(x), q
+    return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q
 
 
 def _ball_theta(s, radius):
@@ -246,13 +248,11 @@ def _no_underflow(norm, x):
 def svt(x, tau):
     """Shrink every singular value by ``tau`` and clip at zero.
 
-    The minimizer of ``0.5*||Y - x||_F**2 + tau*||Y||_*``, computed from
-    the eigendecomposition of the Gram matrix of ``x``'s shorter side,
-    n its longer one: within about ``n * eps * sigma_1 / tau`` relative of
-    the SVD formula ``(u * max(s - tau, 0)) @ vt``, which runs instead
-    where that bound exceeds ``n * 1e-3 * sqrt(eps)``
-    (``GRAM_SVT_GUARD``), at ``tau == 0``, or where the Gram matrix
-    leaves the float range (see ``_svt``).
+    The minimizer of ``0.5*||Y - x||_F**2 + tau*||Y||_*``, within about
+    ``n * eps * (1 + sigma_1 / tau)`` relative of the SVD formula
+    ``(u * max(s - tau, 0)) @ vt``, n the longer side; the module
+    docstring says when it comes from the Gram matrix and when from the
+    SVD.
     """
     if tau < 0.0:
         raise BadTau(f"tau must be >= 0, got {tau}")
@@ -348,13 +348,9 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     test: it starts from an arbitrary point, in the solvers a gradient
     step, which usually lies outside the ball.
 
-    Past the second sweep the ball bound on the previous box point, and
-    it tends to keep binding with a theta that shrinks as the gap closes,
-    so sigma_1 / theta grows. Once a sweep from the second on has had to
-    run the SVD (``GRAM_SVT_GUARD`` failed, the bracket straddled the
-    radius, or the Gram matrix left the float range), the later sweeps of
-    the call run the SVD formula directly, without first paying for an
-    ``eigh`` that would most likely fall back as well.
+    The first two sweeps take the ball step's Gram path; from the third
+    on, the ball step runs the SVD formula directly, as the module
+    docstring explains.
 
     Raises
     ------
@@ -376,11 +372,10 @@ def _alternating_projection(u, region, tol, max_iter):
     noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * EPS
     gap = np.inf
     inside = radius * (1.0 - BALL_TEST_GUARD)
-    gram = True
     for j in range(1, max_iter + 1):
         if j == 2 and _basis_bound(u, basis) <= inside:
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
-        v, basis, gram = _ball_step(u, radius, gram or j <= 2)
+        v, basis = _ball_step(u, radius, gram=j <= 2)
         u = np.clip(v, region.beta, region.alpha)
         gap = _fro_norm(v - u)
         if gap <= tol or gap <= noise * _fro_norm(u):

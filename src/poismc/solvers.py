@@ -3,12 +3,9 @@
 Three schemes, all starting from the count-seeded initializer:
 
 * ``pg``     projected gradient at fixed step 1/L, L = alpha/beta**2,
-  feasibility via alternating projection onto box-and-ball. Its ball
-  step reads the singular values from one eigendecomposition of the
-  Gram matrix, brackets their sum with a certified error bound, and
-  shrinks through the same eigendecomposition where the bracket proves
-  the point outside and ``GRAM_SVT_GUARD`` holds at its theta; else it
-  runs the SVD formula (see ``projections``);
+  feasibility via alternating projection onto box-and-ball; the
+  ``projections`` module docstring says which decomposition each ball
+  step takes;
 * ``apg``    the same step with Nesterov momentum (k-1)/(k+2);
 * ``pmlsv``  nuclear-norm regularized singular-value shrinkage with
   box projection and backtracking on the reciprocal step size L over
@@ -18,10 +15,8 @@ Three schemes, all starting from the count-seeded initializer:
   stable test of TFOCS, Becker, Candes & Grant 2011), so rounding noise
   near the optimum does not reject steps and push L up.
   The shrinkage (``projections._svt``) takes one symmetric
-  eigendecomposition of the Gram matrix per trial, not an SVD; it is
-  within about ``n * eps * sigma_1 / tau`` relative of the SVD formula,
-  which it falls back to where that bound exceeds its cap, at
-  ``lam == 0`` or when the Gram matrix leaves the float range.
+  eigendecomposition of the Gram matrix per trial, not an SVD, where
+  that is accurate (see ``projections``).
 
 All three run one proximal-gradient loop (``_proximal_gradient``). The
 schemes differ in the momentum (apg's, or none), the prox step

@@ -13,12 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (
-    FeasibleRegion,
-    ObservationSet,
-    membership,
-    mse_per_entry,
-)
+from .core import FeasibleRegion, ObservationSet, mse_per_entry
 from .bounds import poisson_tail_threshold, tail_bound
 from .errors import (
     BadM,
@@ -97,9 +92,20 @@ def make_low_rank(spec):
     """Random rank-<= r matrix with entries exactly inside the region box.
 
     Built as a rank-(r-1) product of uniform factors plus the rank-one
-    affine shift that rescales the product into [beta, alpha]. The
-    nuclear-ball membership is asserted and, should floating point ever
-    nudge it out, the spread is shrunk and the rescale repeated.
+    affine shift that rescales the product into [beta, alpha].
+
+    The result lies in the nuclear ball with a margin, so nothing is
+    checked. Let M have rank <= r and entries in [0, alpha], S be the
+    sum of its entries and N = sqrt(d1*d2). Then ||M||_F**2 <= alpha*S,
+    and sigma_1 >= 1^T M 1 / N = S / N, so ||M||_F**2 <= alpha*N*sigma_1;
+    Cauchy-Schwarz over sigma_2..sigma_r gives
+    ``||M||_* <= sigma_1 + sqrt((r-1) * (||M||_F**2 - sigma_1**2))
+    <= sigma_1 + sqrt((r-1) * sigma_1 * (alpha*N - sigma_1))``.
+    With sigma_1 = alpha*N*t, t in [0, 1], the right side is
+    ``alpha*N * (t + sqrt((r-1) * t * (1-t)))``, at most
+    ``alpha*N * (1 + sqrt(r)) / 2``. The radius is ``alpha*N*sqrt(r)``,
+    so ``||M||_*`` is at most ``(1 + 1/sqrt(r)) / 2`` of it: 0.854 at
+    r = 2 and less for larger r, a margin that rounding cannot close.
     """
     region = spec.region
     d1, d2, r = region.d1, region.d2, region.r
@@ -115,13 +121,7 @@ def make_low_rank(spec):
     lo, hi = p.min(), p.max()
     if hi == lo:
         raise DegenerateRange("factor product is constant")
-    unit = (p - lo) / (hi - lo)
-    spread = alpha - beta
-    while True:
-        m = beta + spread * unit
-        if membership(m, region).in_nuclear_ball:
-            return m
-        spread *= 0.9
+    return beta + (alpha - beta) * ((p - lo) / (hi - lo))
 
 
 def sample_mask(d1, d2, m, seed):

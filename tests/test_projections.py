@@ -13,6 +13,7 @@ from poismc import (
     project_nuclear_ball,
     svt,
 )
+from poismc import projections
 from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
 from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, _ball_step,
                                 _basis_bound)
@@ -227,9 +228,8 @@ def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
     if name == "eigh raises":
         raise_in_eigh(monkeypatch)
     counts = count_decompositions(monkeypatch)
-    got, q, gram = _ball_step(x, radius)
+    got, q = _ball_step(x, radius)
     assert counts == {"eigh": 1, "full": 1, "values": 0}
-    assert not gram
     assert np.array_equal(got, want)
     assert q.shape == (3, 3)
 
@@ -237,9 +237,8 @@ def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
 def test_ball_step_without_the_gram_path_runs_only_the_svd(monkeypatch):
     x, nuclear = unit_3x5()
     counts = count_decompositions(monkeypatch)
-    got, _, gram = _ball_step(x, 0.5 * nuclear, gram=False)
+    got, _ = _ball_step(x, 0.5 * nuclear, gram=False)
     assert counts == {"eigh": 0, "full": 1, "values": 0}
-    assert not gram
     assert np.array_equal(got, ball_svd_formula(x, 0.5 * nuclear))
 
 
@@ -252,9 +251,8 @@ def test_ball_step_on_the_gram_path_skips_the_svd(monkeypatch, frac, tall):
     x = x.T.copy() if tall else x
     want = ball_svd_formula(x, frac * nuclear)
     counts = count_decompositions(monkeypatch)
-    got, q, gram = _ball_step(x, frac * nuclear)
+    got, q = _ball_step(x, frac * nuclear)
     assert counts == {"eigh": 1, "full": 0, "values": 0}
-    assert gram
     assert q.shape == (3, 3)
     if frac > 1.0:
         assert np.array_equal(got, x)
@@ -514,17 +512,15 @@ def test_altproj_gap_does_not_underflow_at_tiny_scales():
 def altproj_reference(u0, reg, tol, max_iter):
     """Plain ball-then-box loop: one ball step on every sweep, same closing rule.
 
-    The ball step is the kernel's, and skips the Gram path where the
-    kernel's loop does: from the third sweep on, once a sweep from the
-    second on has run the SVD. Only the second sweep's basis-bound test
-    is left out.
+    The ball step is the kernel's, and takes the Gram path on the first
+    two sweeps only, as the kernel's loop does. Only the second sweep's
+    basis-bound test is left out.
     """
     u = np.asarray(u0, dtype=float)
     noise = 4.0 * np.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
-    gram = True
     for j in range(1, max_iter + 1):
-        v, _, gram = _ball_step(u, reg.nuclear_radius, gram or j <= 2)
+        v, _ = _ball_step(u, reg.nuclear_radius, gram=j <= 2)
         u = project_box(v, reg)
         gap = float(np.linalg.norm(v - u))
         if gap <= max(tol, noise * np.linalg.norm(u)):
@@ -672,12 +668,33 @@ def test_basis_bound_never_undercuts_the_nuclear_norm(case):
 def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
     # The ball binds on every sweep, so after the second sweep's basis
     # bound fails no decomposition is spent on a test: each sweep makes
-    # one, except the one sweep whose Gram path falls back to the SVD and
-    # so makes two; the sweeps after it run the SVD directly.
+    # one, an eigh on the first two sweeps, whose Gram path holds, and a
+    # full SVD on every later one.
     obs, reg = binding_instance(0)
     u0 = init_matrix(obs, reg)
     counts = count_decompositions(monkeypatch)
     rep = alternating_projection(u0, reg, tol=1e-6)
     assert rep.iterations > 3
-    assert counts["values"] == 0
-    assert counts["eigh"] + counts["full"] == rep.iterations + 1
+    assert counts == {"eigh": 2, "full": rep.iterations - 2, "values": 0}
+
+
+@pytest.mark.parametrize("shape", [(15, 12), (12, 15)])
+def test_altproj_makes_no_eigh_after_the_second_sweep(monkeypatch, shape):
+    # The ball binds on every sweep of this call, and on the third
+    # sweep sigma_1 / theta still passes the guard; even so, from the
+    # third sweep on each ball step runs the SVD formula alone.
+    obs, reg = binding_instance(0, *shape)
+    u0 = init_matrix(obs, reg)
+    counts = count_decompositions(monkeypatch)
+    sweeps, step = [], projections._ball_step
+
+    def recorded_step(u, radius, *args, **kwargs):
+        eighs = counts["eigh"]
+        out = step(u, radius, *args, **kwargs)
+        sweeps.append((counts["eigh"] - eighs, not np.array_equal(out[0], u)))
+        return out
+
+    monkeypatch.setattr(projections, "_ball_step", recorded_step)
+    rep = alternating_projection(u0, reg, tol=1e-6)
+    assert len(sweeps) == rep.iterations > 3
+    assert sweeps == [(1, True), (1, True)] + [(0, True)] * (rep.iterations - 2)

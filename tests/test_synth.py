@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismc import (
     FeasibleRegion,
@@ -59,6 +61,29 @@ def test_truth_membership_in_both_sets():
         s = spec(seed=seed)
         rep = membership(make_low_rank(s), s.region, tol=1e-9)
         assert rep.in_box and rep.in_nuclear_ball
+
+
+@st.composite
+def truth_specs(draw):
+    """A spec with r in [2, min(d1, d2)] and alpha / beta from 1 to 1e6."""
+    d1, d2 = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+    r = draw(st.integers(2, min(d1, d2)))
+    beta = draw(st.floats(1e-3, 1e3))
+    alpha = beta * draw(st.floats(1.0, 1e6))
+    return spec(d1=d1, d2=d2, r=r, alpha=alpha, beta=beta, m=1.0,
+                seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(truth_specs())
+def test_truth_nuclear_norm_within_the_derived_bound(s):
+    # make_low_rank derives ||M||_* <= alpha * sqrt(d1*d2) * (1 + sqrt(r)) / 2,
+    # at most 0.854 of the radius, for rank <= r and entries in [0, alpha].
+    truth = make_low_rank(s)
+    reg = s.region
+    bound = reg.alpha * math.sqrt(reg.d1 * reg.d2) * (1.0 + math.sqrt(reg.r)) / 2.0
+    assert bound <= 0.854 * reg.nuclear_radius
+    assert np.linalg.svd(truth, compute_uv=False).sum() <= bound * (1.0 + 1e-12)
 
 
 def test_truth_rank_infeasible():
