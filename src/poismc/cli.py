@@ -15,8 +15,10 @@ Every input file is read before the output directory is made, so
 solve.
 
 Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
-or an ``--out`` directory that cannot be created), 2 validation, 3 the
-error carries a report (a solve failed after its first iterate;
+does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
+not a non-empty list of strings, starts with ``rerun`` or ends with
+``--out``; an ``--out`` directory that cannot be created), 2 validation,
+3 the error carries a report (a solve failed after its first iterate;
 ``complete`` and ``demo-solar`` then write that report, the last good
 iterate's, to ``report.json``), 4 verification violation.
 """
@@ -271,16 +273,15 @@ def cmd_demo_solar(args, argv):
 
 def cmd_rerun(args, argv):
     manifest = read_json(args.manifest)
-    stored = manifest.get("argv")
-    if not stored:
-        return _fail(f"{args.manifest} carries no argv", EXIT_VALIDATION)
-    new_argv = list(stored)
+    new_argv = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(new_argv, list) and new_argv
+            and all(isinstance(a, str) for a in new_argv)
+            and new_argv[0] != "rerun" and new_argv[-1] != "--out"):
+        raise CorruptFile(f"{args.manifest}: argv must be a non-empty list of "
+                          "strings that neither starts with rerun nor ends with --out")
     if args.out is not None:
-        if "--out" in new_argv:
-            i = new_argv.index("--out")
-            new_argv[i + 1] = args.out
-        else:
-            new_argv += ["--out", args.out]
+        i = new_argv.index("--out") if "--out" in new_argv else len(new_argv)
+        new_argv[i : i + 2] = ["--out", args.out]
     return main(new_argv)
 
 

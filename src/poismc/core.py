@@ -22,6 +22,9 @@ from .errors import (
 # Absolute slack for set-membership checks; double-precision SVD accuracy.
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
+# Largest count accepted: every integer up to 2**53 is exact as a float64.
+COUNT_LIMIT = 2.0**53
+
 
 @dataclass(frozen=True)
 class FeasibleRegion:
@@ -88,6 +91,8 @@ class ObservationSet:
 
     ``rows``, ``cols``, ``counts`` are parallel int arrays; indices are
     zero-based and unique (Bernoulli sampling admits no duplicates).
+    Counts are integers in ``[0, COUNT_LIMIT]``, so casting one to float
+    is exact.
     ``m_expected`` records the design-time expected sample count when known.
     """
 
@@ -116,8 +121,9 @@ class ObservationSet:
             flat = rows * self.d2 + cols
             if np.unique(flat).size != flat.size:
                 raise BadObservations("duplicate (i, j) sample")
-            if np.any(counts_f < 0) or np.any(counts_f != np.floor(counts_f)):
-                raise BadObservations("counts must be nonnegative integers")
+            in_range = (counts_f >= 0) & (counts_f <= COUNT_LIMIT)
+            if not np.all(in_range & (counts_f == np.floor(counts_f))):
+                raise BadObservations("counts must be integers in [0, 2**53]")
         counts = counts_f.astype(np.int64)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

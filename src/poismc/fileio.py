@@ -2,16 +2,20 @@
 
 Matrix CSV: plain comma-separated decimal rows, no header, %.17g so
 doubles round-trip exactly. Observation CSV: header ``i,j,y`` with
-zero-based indices. JSON is written sorted and indented so identical
-payloads produce identical bytes.
+zero-based indices, then one ``i,j,y`` row of integers per sample. JSON
+is written sorted and indented so identical payloads produce identical
+bytes. ``np.loadtxt`` parses and ``np.savetxt`` formats both tables.
 
 Every file the package reads or writes is opened through ``_opened``,
 the only place an ``OSError`` becomes ``IoFailure("cannot read|write
-<path>: <errno text>")``. Content that does not parse is ``CorruptFile``.
+<path>: <errno text>")``. Content that does not parse is ``CorruptFile``,
+and so is a matrix CSV with no rows (an observation CSV may hold the
+header alone: no samples).
 """
 
 import contextlib
 import json
+import warnings
 
 import numpy as np
 
@@ -39,48 +43,48 @@ def write_matrix_csv(m, path):
         np.savetxt(fh, m, fmt="%.17g", delimiter=",")
 
 
+def _parse_table(path, lines, **kwargs):
+    """``np.loadtxt`` of comma-separated ``lines``.
+
+    A field that does not parse, or a table with no rows, is ``CorruptFile``.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # loadtxt warns on no rows
+        try:
+            return np.loadtxt(lines, delimiter=",", ndmin=2, **kwargs)
+        except ValueError as exc:
+            raise CorruptFile(f"bad CSV {path}: {exc}") from exc
+        except UserWarning:
+            raise CorruptFile(f"bad CSV {path}: no data") from None
+
+
 def read_matrix_csv(path):
     with _opened(path) as fh:
-        try:
-            return np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise CorruptFile(f"bad matrix CSV {path}: {exc}") from exc
+        return _parse_table(path, fh)
 
 
 OBS_CSV_HEADER = "i,j,y"
 
 
 def write_observations_csv(obs, path):
+    table = np.column_stack([obs.rows, obs.cols, obs.counts])
     with _opened(path, "w") as fh:
-        fh.write(OBS_CSV_HEADER + "\n")
-        for i, j, y in zip(obs.rows, obs.cols, obs.counts):
-            fh.write(f"{i},{j},{y}\n")
+        np.savetxt(fh, table, fmt="%d", delimiter=",", header=OBS_CSV_HEADER,
+                   comments="")
 
 
 def read_observations_csv(path, d1, d2, m_expected=None):
     with _opened(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != OBS_CSV_HEADER:
+        lines = [ln for ln in fh if ln.strip()]
+    if not lines or lines[0].strip() != OBS_CSV_HEADER:
         raise CorruptFile(f"{path}: expected header '{OBS_CSV_HEADER}'")
-    rows, cols, counts = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise CorruptFile(f"{path}: bad line {ln!r}")
-        try:
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            counts.append(int(parts[2]))
-        except ValueError as exc:
-            raise CorruptFile(f"{path}: bad line {ln!r}") from exc
-    return ObservationSet(
-        d1=d1,
-        d2=d2,
-        rows=np.array(rows, dtype=np.intp),
-        cols=np.array(cols, dtype=np.intp),
-        counts=np.array(counts, dtype=np.int64),
-        m_expected=m_expected,
-    )
+    table = np.empty((0, 3), dtype=np.int64)
+    if len(lines) > 1:  # the header alone is an empty set
+        table = _parse_table(path, lines[1:], dtype=np.int64, comments=None)
+    if table.shape[1] != 3:
+        raise CorruptFile(f"{path}: expected 3 columns, got {table.shape[1]}")
+    rows, cols, counts = table.T
+    return ObservationSet(d1, d2, rows, cols, counts, m_expected)
 
 
 def write_json(obj, path):

@@ -7,7 +7,11 @@ approximately low rank, which is what the completion solvers exploit.
 
 File formats: Netpbm PGM (read as P2 ASCII or P5 binary, maxval up to
 65535; written as P2) and headerless CSV. This module parses and formats
-them; ``fileio`` opens every file and owns the I/O failures.
+them; ``fileio`` opens every file and owns the I/O failures. The PGM
+header is read token by token; numpy casts the raster (one split and
+cast for P2, ``np.frombuffer`` for P5) and ``np.savetxt`` writes it.
+A sample that is not an integer or overflows, a short raster, or a
+sample below 0 or above maxval is ``CorruptFile``.
 """
 
 import re
@@ -121,32 +125,19 @@ def _parse_pgm(data):
         raise CorruptFile(
             f"bad PGM dimensions {width}x{height} maxval {maxval}"
         )
-    count = width * height
-    if magic == b"P2":
-        vals = []
-        for tok, _ in tokens:
-            try:
-                vals.append(int(tok))
-            except ValueError:
-                raise CorruptFile(f"non-integer sample {tok!r}") from None
-        if len(vals) < count:
-            raise CorruptFile(f"expected {count} samples, got {len(vals)}")
-        grid = np.array(vals[:count], dtype=np.int64)
-    else:
-        raster = data[end + 1 :]  # single whitespace byte after maxval
-        if maxval < 256:
-            if len(raster) < count:
-                raise CorruptFile("truncated binary raster")
-            grid = np.frombuffer(raster[:count], dtype=np.uint8).astype(np.int64)
-        else:
-            if len(raster) < 2 * count:
-                raise CorruptFile("truncated binary raster")
-            grid = (
-                np.frombuffer(raster[: 2 * count], dtype=">u2").astype(np.int64)
-            )
-    if grid.max(initial=0) > maxval:
-        raise CorruptFile("sample exceeds declared maxval")
-    return grid.reshape(height, width)
+    try:
+        if magic == b"P2":
+            raster = re.sub(rb"(?<!\S)#[^\n]*", b"", data[end:]).split()
+        else:  # a single whitespace byte follows maxval
+            dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+            raster = np.frombuffer(data, dtype, width * height, end + 1)
+        grid = np.asarray(raster, dtype=np.int64)[: width * height]
+        grid = grid.reshape(height, width)
+    except (ValueError, OverflowError) as exc:
+        raise CorruptFile(f"bad PGM raster: {exc}") from None
+    if grid.min() < 0 or grid.max() > maxval:
+        raise CorruptFile(f"sample outside 0..{maxval}")
+    return grid
 
 
 def read_image(path):
@@ -181,9 +172,7 @@ def write_image(grid, path):
         raise ValueError(f"maxval {maxval} cannot represent peak {peak}")
     h, w = g.shape
     with _opened(path, "wb") as fh:
-        fh.write(f"P2\n{w} {h}\n{maxval}\n".encode())
-        body = "\n".join(" ".join(str(v) for v in row) for row in g)
-        fh.write(body.encode() + b"\n")
+        np.savetxt(fh, g, fmt="%d", header=f"P2\n{w} {h}\n{maxval}", comments="")
 
 
 def to_display(values, region):

@@ -254,7 +254,7 @@ def svt(x, tau):
     docstring says when it comes from the Gram matrix and when from the
     SVD.
     """
-    if tau < 0.0:
+    if not tau >= 0.0:
         raise BadTau(f"tau must be >= 0, got {tau}")
     return _svt(as_matrix(x), tau)
 

@@ -31,10 +31,11 @@ off omega, and there ``z - 0.0 / L`` is ``z`` itself, so writing
 (``_gradient_step``) gives the bits of ``z - gradient(z, obs) / L``
 without building the dense gradient. ``ObservationSet`` rejects
 duplicate cells, so no cell is written twice. Counts are cast to float
-once per solve; the cast is exact below 2**53, so every product and
-quotient with them keeps its bits. Inputs are checked where they enter
-(``SolverConfig``, ``FeasibleRegion``, ``ObservationSet``, ``_start``);
-inside the loop the solvers call the unchecked kernels ``_svt`` and
+once per solve; ``ObservationSet`` holds them to at most 2**53, where
+the cast is exact, so every product and quotient with them keeps its
+bits. Inputs are checked where they enter (``SolverConfig``,
+``FeasibleRegion``, ``ObservationSet``, ``_start``); inside the loop the
+solvers call the unchecked kernels ``_svt`` and
 ``_alternating_projection`` and clip with ``np.clip`` directly.
 
 Objective values are recorded after the prox step of each iteration,
@@ -87,7 +88,7 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.eta > 1.0:
             raise ValueError("eta must be > 1")
-        if self.lam < 0.0:
+        if not self.lam >= 0.0:
             raise ValueError("lam must be >= 0")
         if not self.l0 > 0.0:
             raise ValueError("l0 must be > 0")

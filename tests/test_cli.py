@@ -100,20 +100,36 @@ def test_complete_missing_obs_file_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("truth, code, message", [
     ("absent.csv", 1, "No such file or directory"),
     ("small.csv", 2, "expected shape (10, 8), got (2, 2)"),
-], ids=["missing", "wrong-shape"])
+    ("empty.csv", 1, "empty.csv: no data"),
+], ids=["missing", "wrong-shape", "empty"])
 def test_complete_reads_truth_before_the_solve(truth, code, message, tmp_path,
                                               capsys):
     sim = tmp_path / "sim"
     assert run(*simulate_args(sim)) == 0
     (tmp_path / "small.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "empty.csv").write_text("")
     out = tmp_path / "rec"
+    capsys.readouterr()
     rc = run(*complete_args(sim / "observations.csv", out,
                             extra=("--truth", str(tmp_path / truth))))
     assert rc == code
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_complete_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim)) == 0
+    out = tmp_path / "rec"
+    rc = run(*complete_args(sim / "observations.csv", out, algo="pmlsv",
+                            extra=("--iters", "20", "--lambda", "nan")))
+    assert rc == 2
+    assert "lam must be >= 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -399,6 +415,27 @@ def test_demo_absent_image_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, name, content", [
+    ("complete", "obs.csv", b"i,j,y\n0,0,99999999999999999999\n"),
+    ("demo-solar", "img.pgm", b"P2\n1 1\n255\n99999999999999999999\n"),
+    ("demo-solar", "img.csv", b""),
+], ids=["count-overflow", "p2-sample-overflow", "empty-csv-image"])
+def test_malformed_input_exits_1_with_one_error_line(command, name, content,
+                                                     tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = {
+        "complete": complete_args(path, out),
+        "demo-solar": ["demo-solar", "--image", str(path), "--out", str(out)],
+    }[command]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_demo_rejects_bad_fraction(tmp_path):
     rc = run("demo-solar", "--p", "1.5", "--out", str(tmp_path / "d"))
     assert rc == 2
@@ -447,6 +484,22 @@ def test_rerun_reproduces_simulate(tmp_path):
     assert run("rerun", str(out1 / "manifest.json"), "--out", str(out2)) == 0
     for name in ("truth.csv", "observations.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("manifest", [
+    lambda path: {"argv": ["bounds", "--out"]},
+    lambda path: ["simulate"],
+    lambda path: {"argv": [1, 2]},
+    lambda path: {"argv": ["rerun", str(path)]},
+    lambda path: {"argv": "bounds"},
+], ids=["ends-with-out", "list", "not-strings", "reruns-itself", "string"])
+def test_rerun_rejects_a_malformed_manifest(manifest, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest(path)))
+    assert run("rerun", str(path), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: argv must be") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_rerun_reproduces_demo(tmp_path):

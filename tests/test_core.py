@@ -179,6 +179,13 @@ def test_observations_validate():
         ObservationSet(d1=2, d2=2, rows=[0], cols=[0], counts=[-1])
     with pytest.raises(BadObservations):
         ObservationSet(d1=2, d2=2, rows=[0], cols=[0], counts=[1.5])
+    # Past 2**63 a count would wrap negative as int64; past 2**53 the
+    # solvers' float cast of it is no longer exact.
+    for counts in ([np.inf, 2.0**63], [2.0**53 + 2, 1]):
+        with pytest.raises(BadObservations):
+            ObservationSet(d1=1, d2=2, rows=[0, 0], cols=[0, 1], counts=counts)
+    obs = ObservationSet(d1=1, d2=2, rows=[0, 0], cols=[0, 1], counts=[2**53, 0])
+    assert obs.counts.tolist() == [2**53, 0]
 
 
 def test_observations_mask():

@@ -56,6 +56,51 @@ def test_observations_round_trip(tmp_path):
     assert np.array_equal(back.counts, obs.counts)
 
 
+def test_observations_csv_bytes_are_pinned(tmp_path):
+    obs = ObservationSet(d1=5, d2=4, rows=[0, 2, 4], cols=[1, 3, 0],
+                         counts=[7, 0, 5 * 10**12])
+    path = tmp_path / "obs.csv"
+    write_observations_csv(obs, path)
+    assert path.read_bytes() == b"i,j,y\n0,1,7\n2,3,0\n4,0,5000000000000\n"
+    empty = ObservationSet(d1=5, d2=4, rows=[], cols=[], counts=[])
+    write_observations_csv(empty, path)
+    assert path.read_bytes() == b"i,j,y\n"
+
+
+def read_obs(path):
+    return read_observations_csv(path, 2, 2)
+
+
+# name: (reader, content); each must raise CorruptFile.
+MALFORMED = {
+    "obs-count-overflow": (read_obs, b"i,j,y\n0,0,99999999999999999999\n"),
+    "obs-two-columns": (read_obs, b"i,j,y\n0,0\n"),
+    "matrix-empty": (read_matrix_csv, b""),
+    "p2-sample-overflow": (read_image, b"P2\n1 1\n255\n99999999999999999999\n"),
+    "p2-hash-inside-a-sample": (read_image, b"P2\n2 1\n255\n12#3 4\n"),
+    "p2-negative-sample": (read_image, b"P2\n2 1\n255\n-3 4\n"),
+    "p5-16-bit-truncated": (read_image, b"P5\n2 2\n65535\n" + bytes(6)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_content_is_corrupt_file(name, tmp_path):
+    read, content = MALFORMED[name]
+    path = tmp_path / "f.pgm"  # read_image picks PGM by extension
+    path.write_bytes(content)
+    with pytest.raises(CorruptFile):
+        read(path)
+
+
+@pytest.mark.filterwarnings("error")
+def test_header_only_observation_file_is_an_empty_set(tmp_path):
+    path = tmp_path / "obs.csv"
+    path.write_text("i,j,y\n\n")
+    obs = read_obs(path)
+    assert len(obs) == 0 and obs.counts.dtype == np.int64
+
+
 def test_observations_bad_header(tmp_path):
     path = tmp_path / "obs.csv"
     path.write_text("x,y,z\n0,0,1\n")

@@ -143,6 +143,16 @@ def test_p2_hand_fixture(tmp_path):
     assert np.array_equal(grid, np.array([[0, 12, 255], [7, 130, 9]]))
 
 
+@pytest.mark.parametrize("grid, expected", [
+    ([[0, 12, 255], [7, 130, 9]], b"P2\n3 2\n255\n0 12 255\n7 130 9\n"),
+    ([[256.0, 0.0]], b"P2\n2 1\n65535\n256 0\n"),
+], ids=["8-bit", "16-bit"])
+def test_p2_bytes_are_pinned(grid, expected, tmp_path):
+    path = tmp_path / "img.pgm"
+    write_image(np.array(grid), path)
+    assert path.read_bytes() == expected
+
+
 def test_p2_round_trip(tmp_path):
     rng = np.random.default_rng(8)
     grid = rng.integers(0, 256, size=(5, 7))

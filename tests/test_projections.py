@@ -337,6 +337,8 @@ def test_svt_matches_grid_minimum_2x2():
 def test_svt_rejects_negative_tau():
     with pytest.raises(BadTau):
         svt(np.eye(2), -0.1)
+    with pytest.raises(BadTau):
+        svt(np.eye(3), float("nan"))
 
 
 def svd_formula(x, tau):

@@ -819,6 +819,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lam=-0.1)
     with pytest.raises(ValueError):
+        SolverConfig(lam=float("nan"))
+    with pytest.raises(ValueError):
         SolverConfig(l0=0.0)
     with pytest.raises(ValueError):
         SolverConfig(proj_tol=0.0)
