@@ -16,8 +16,8 @@ solve.
 
 Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
 does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
-not a non-empty list of strings, starts with ``rerun`` or ends with
-``--out``; an ``--out`` directory that cannot be created), 2 validation,
+not a non-empty list of strings or starts with ``rerun``; an ``--out``
+directory that cannot be created), 2 validation,
 3 the error carries a report (a solve failed after its first iterate;
 ``complete`` and ``demo-solar`` then write that report, the last good
 iterate's, to ``report.json``), 4 verification violation.
@@ -276,9 +276,9 @@ def cmd_rerun(args, argv):
     new_argv = manifest.get("argv") if isinstance(manifest, dict) else None
     if not (isinstance(new_argv, list) and new_argv
             and all(isinstance(a, str) for a in new_argv)
-            and new_argv[0] != "rerun" and new_argv[-1] != "--out"):
+            and new_argv[0] != "rerun"):
         raise CorruptFile(f"{args.manifest}: argv must be a non-empty list of "
-                          "strings that neither starts with rerun nor ends with --out")
+                          "strings that does not start with rerun")
     if args.out is not None:
         i = new_argv.index("--out") if "--out" in new_argv else len(new_argv)
         new_argv[i : i + 2] = ["--out", args.out]

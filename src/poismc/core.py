@@ -22,8 +22,9 @@ from .errors import (
 # Absolute slack for set-membership checks; double-precision SVD accuracy.
 DEFAULT_MEMBERSHIP_TOL = 1e-9
 
-# Largest count accepted: every integer up to 2**53 is exact as a float64.
-COUNT_LIMIT = 2.0**53
+# Largest count accepted: every integer up to it is exact as a float64,
+# and every larger one rounds to a float above it.
+COUNT_LIMIT = 2.0**53 - 1
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ class ObservationSet:
                 raise BadObservations("duplicate (i, j) sample")
             in_range = (counts_f >= 0) & (counts_f <= COUNT_LIMIT)
             if not np.all(in_range & (counts_f == np.floor(counts_f))):
-                raise BadObservations("counts must be integers in [0, 2**53]")
+                raise BadObservations("counts must be integers in [0, 2**53)")
         counts = counts_f.astype(np.int64)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)

@@ -44,23 +44,29 @@ def write_matrix_csv(m, path):
 
 
 def _parse_table(path, lines, **kwargs):
-    """``np.loadtxt`` of comma-separated ``lines``.
+    """``np.loadtxt`` of the comma-separated, non-blank ``lines``.
 
-    A field that does not parse, or a table with no rows, is ``CorruptFile``.
+    A table with no rows, or a field that does not parse, is
+    ``CorruptFile``. Every warning counts as a parse failure: numpy
+    parses an int field that fails as a float, casts it and only warns.
     """
+    if not lines:
+        raise CorruptFile(f"{path}: no data")
     with warnings.catch_warnings():
-        warnings.simplefilter("error", UserWarning)  # loadtxt warns on no rows
+        warnings.simplefilter("error")
         try:
             return np.loadtxt(lines, delimiter=",", ndmin=2, **kwargs)
-        except ValueError as exc:
-            raise CorruptFile(f"bad CSV {path}: {exc}") from exc
-        except UserWarning:
-            raise CorruptFile(f"bad CSV {path}: no data") from None
+        except (ValueError, Warning) as exc:
+            raise CorruptFile(f"bad CSV {path}: {exc}") from None
+
+
+def _lines(path):
+    with _opened(path) as fh:
+        return [ln for ln in fh if ln.strip()]
 
 
 def read_matrix_csv(path):
-    with _opened(path) as fh:
-        return _parse_table(path, fh)
+    return _parse_table(path, _lines(path))
 
 
 OBS_CSV_HEADER = "i,j,y"
@@ -74,8 +80,7 @@ def write_observations_csv(obs, path):
 
 
 def read_observations_csv(path, d1, d2, m_expected=None):
-    with _opened(path) as fh:
-        lines = [ln for ln in fh if ln.strip()]
+    lines = _lines(path)
     if not lines or lines[0].strip() != OBS_CSV_HEADER:
         raise CorruptFile(f"{path}: expected header '{OBS_CSV_HEADER}'")
     table = np.empty((0, 3), dtype=np.int64)

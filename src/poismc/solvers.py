@@ -31,8 +31,8 @@ off omega, and there ``z - 0.0 / L`` is ``z`` itself, so writing
 (``_gradient_step``) gives the bits of ``z - gradient(z, obs) / L``
 without building the dense gradient. ``ObservationSet`` rejects
 duplicate cells, so no cell is written twice. Counts are cast to float
-once per solve; ``ObservationSet`` holds them to at most 2**53, where
-the cast is exact, so every product and quotient with them keeps its
+once per solve; ``ObservationSet`` holds them below 2**53, where the
+cast is exact, so every product and quotient with them keeps its
 bits. Inputs are checked where they enter (``SolverConfig``,
 ``FeasibleRegion``, ``ObservationSet``, ``_start``); inside the loop the
 solvers call the unchecked kernels ``_svt`` and

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -415,14 +416,16 @@ def test_demo_absent_image_exits_1(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("action", ["error", "ignore"])  # see test_fileio
 @pytest.mark.parametrize("command, name, content", [
     ("complete", "obs.csv", b"i,j,y\n0,0,99999999999999999999\n"),
+    ("complete", "obs.csv", b"i,j,y\n0,0,1.5\n"),
     ("demo-solar", "img.pgm", b"P2\n1 1\n255\n99999999999999999999\n"),
     ("demo-solar", "img.csv", b""),
-], ids=["count-overflow", "p2-sample-overflow", "empty-csv-image"])
+], ids=["count-overflow", "fractional-count", "p2-sample-overflow",
+        "empty-csv-image"])
 def test_malformed_input_exits_1_with_one_error_line(command, name, content,
-                                                     tmp_path, capsys):
+                                                     action, tmp_path, capsys):
     path = tmp_path / name
     path.write_bytes(content)
     out = tmp_path / "out"
@@ -430,7 +433,9 @@ def test_malformed_input_exits_1_with_one_error_line(command, name, content,
         "complete": complete_args(path, out),
         "demo-solar": ["demo-solar", "--image", str(path), "--out", str(out)],
     }[command]
-    assert run(*argv) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        assert run(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
@@ -486,13 +491,21 @@ def test_rerun_reproduces_simulate(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_rerun_out_fills_a_trailing_out(tmp_path):
+    path = tmp_path / "manifest.json"
+    argv = simulate_args(tmp_path / "unused")[:-1]  # ends with "--out"
+    path.write_text(json.dumps({"argv": argv}))
+    assert run("rerun", str(path), "--out", str(tmp_path / "o")) == 0
+    assert (tmp_path / "o" / "observations.csv").exists()
+
+
 @pytest.mark.parametrize("manifest", [
-    lambda path: {"argv": ["bounds", "--out"]},
+    lambda path: {"argv": []},
     lambda path: ["simulate"],
     lambda path: {"argv": [1, 2]},
     lambda path: {"argv": ["rerun", str(path)]},
     lambda path: {"argv": "bounds"},
-], ids=["ends-with-out", "list", "not-strings", "reruns-itself", "string"])
+], ids=["empty", "list", "not-strings", "reruns-itself", "string"])
 def test_rerun_rejects_a_malformed_manifest(manifest, tmp_path, capsys):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest(path)))

@@ -179,13 +179,15 @@ def test_observations_validate():
         ObservationSet(d1=2, d2=2, rows=[0], cols=[0], counts=[-1])
     with pytest.raises(BadObservations):
         ObservationSet(d1=2, d2=2, rows=[0], cols=[0], counts=[1.5])
-    # Past 2**63 a count would wrap negative as int64; past 2**53 the
-    # solvers' float cast of it is no longer exact.
-    for counts in ([np.inf, 2.0**63], [2.0**53 + 2, 1]):
+    # Past 2**63 a count would wrap negative as int64; from 2**53 on the
+    # solvers' float cast of it is no longer exact (2**53 + 1 rounds down).
+    for counts in ([np.inf, 2.0**63], [2.0**53 + 2, 1], [2**53, 0], [2**53 + 1, 0],
+                   np.array([2**53 + 1, 0], dtype=np.int64)):
         with pytest.raises(BadObservations):
             ObservationSet(d1=1, d2=2, rows=[0, 0], cols=[0, 1], counts=counts)
-    obs = ObservationSet(d1=1, d2=2, rows=[0, 0], cols=[0, 1], counts=[2**53, 0])
-    assert obs.counts.tolist() == [2**53, 0]
+    obs = ObservationSet(d1=1, d2=2, rows=[0, 0], cols=[0, 1],
+                         counts=np.array([2**53 - 1, 0], dtype=np.int64))
+    assert obs.counts.tolist() == [2**53 - 1, 0]
 
 
 def test_observations_mask():
