@@ -38,9 +38,6 @@ class BoundConstants:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
 
-    def to_json_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class BoundReport:

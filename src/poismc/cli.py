@@ -19,8 +19,9 @@ does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
 not a non-empty list of strings or starts with ``rerun``; an ``--out``
 directory that cannot be created), 2 validation,
 3 the error carries a report (a solve failed after its first iterate;
-``complete`` and ``demo-solar`` then write that report, the last good
-iterate's, to ``report.json``), 4 verification violation.
+whichever command ran it then writes that report, the last good
+iterate's, to ``report.json`` under its ``--out``), 4 verification
+violation.
 """
 
 import argparse
@@ -39,6 +40,7 @@ from .core import FeasibleRegion, as_matrix, mse_per_entry
 from .errors import CorruptFile, IoFailure, PoismcError, UnsupportedFormat
 from .fileio import (
     SCHEMA_VERSION,
+    make_dir,
     read_json,
     read_matrix_csv,
     read_observations_csv,
@@ -48,7 +50,7 @@ from .fileio import (
 )
 from .imaging import read_image, recover_image, to_display, unpatchify, write_image
 from .solvers import ALGORITHMS, SolverConfig, solve
-from .synth import SynthesisSpec, make_low_rank, sample_mask, sample_poisson, verify_lemmas
+from .synth import SynthesisSpec, make_low_rank, observe, verify_lemmas
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -56,7 +58,7 @@ EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_VIOLATION = 4
 
-_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat, OSError)
+_IO_ERRORS = (IoFailure, CorruptFile, UnsupportedFormat)
 
 
 def default_demo_image():
@@ -69,46 +71,43 @@ def _fail(message, code):
     return code
 
 
-def _ensure_out(path):
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_outputs(out, command, argv, seed, outputs, report=None):
+def _write_outputs(args, argv, outputs, report=None):
     """Write ``manifest.json`` listing ``outputs``, after ``report.json`` if given.
 
-    ``report`` is the body of ``report.json``; ``schema_version`` and
-    ``command`` are filled in here.
+    The run's identity, its ``--out``, command and ``--seed``, comes from
+    ``args``. ``report`` is the body of ``report.json``; ``schema_version``
+    and ``command`` are filled in here.
     """
     if report is not None:
-        report = {"schema_version": SCHEMA_VERSION, "command": command, **report}
-        write_json(report, os.path.join(out, "report.json"))
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, **report}
+        write_json(report, os.path.join(args.out, "report.json"))
         outputs = [*outputs, "report.json"]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "poismc",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(argv),
-        "seed": seed,
+        "seed": args.seed,
         "outputs": sorted(outputs),
     }
-    write_json(manifest, os.path.join(out, "manifest.json"))
+    write_json(manifest, os.path.join(args.out, "manifest.json"))
 
 
 @contextlib.contextmanager
-def _keep_failed_report(out, command, argv, seed):
+def _keep_failed_report(args, argv):
     """On an error that carries a solver report, write it before re-raising.
 
     The report, the last good iterate's, goes to ``report.json`` under
     ``"solver"``, with a manifest that lists it; ``main`` then exits 3.
+    Only a solve raises such an error, and every command that solves has
+    made its ``--out`` first.
     """
     try:
         yield
     except PoismcError as exc:
         if exc.report is not None:
-            _write_outputs(out, command, argv, seed, [],
-                           {"solver": exc.report.to_json_dict()})
+            _write_outputs(args, argv, [], {"solver": exc.report.to_json_dict()})
         raise
 
 
@@ -132,15 +131,12 @@ def cmd_simulate(args, argv):
     if not 0 < args.m <= args.d1 * args.d2:
         return _fail(f"--m must be in (0, d1*d2]={args.d1 * args.d2}, got {args.m}",
                      EXIT_VALIDATION)
-    out = _ensure_out(args.out)
-    spec = SynthesisSpec(region=region, mask_m=args.m, seed=args.seed)
-    truth = make_low_rank(spec)
-    mask = sample_mask(args.d1, args.d2, args.m, args.seed)
-    obs = sample_poisson(truth, mask, args.seed, m_expected=args.m)
+    out = make_dir(args.out)
+    truth = make_low_rank(SynthesisSpec(region=region, mask_m=args.m, seed=args.seed))
+    obs = observe(truth, args.m, args.seed)
     write_matrix_csv(truth, os.path.join(out, "truth.csv"))
     write_observations_csv(obs, os.path.join(out, "observations.csv"))
-    _write_outputs(out, "simulate", argv, args.seed,
-                   ["truth.csv", "observations.csv"])
+    _write_outputs(args, argv, ["truth.csv", "observations.csv"])
     print(f"simulate: wrote {len(obs)} observations to {out}")
     return EXIT_OK
 
@@ -153,17 +149,15 @@ def cmd_complete(args, argv):
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     if args.truth is not None:
         truth = as_matrix(read_matrix_csv(args.truth), shape=region.shape)
-    out = _ensure_out(args.out)
-    with _keep_failed_report(out, "complete", argv, args.seed):
-        report = solve(obs, region, cfg)
+    out = make_dir(args.out)
+    report = solve(obs, region, cfg)
     write_matrix_csv(report.estimate, os.path.join(out, "estimate.csv"))
     payload = {"solver": report.to_json_dict()}
     if args.truth is not None:
         payload["mse"] = mse_per_entry(truth, report.estimate)
         if args.baseline:
-            baseline = np.full(region.shape, (args.alpha + args.beta) / 2.0)
-            payload["baseline_mse"] = mse_per_entry(truth, baseline)
-    _write_outputs(out, "complete", argv, args.seed, ["estimate.csv"], payload)
+            payload["baseline_mse"] = mse_per_entry(truth, region.midpoint())
+    _write_outputs(args, argv, ["estimate.csv"], payload)
     print(
         f"complete: {report.algorithm} ran {report.iterations_run} iterations "
         f"({report.termination}) in {report.wall_time:.3f}s"
@@ -213,10 +207,10 @@ def cmd_verify(args, argv):
         return _fail(f"--samples must be >= 1, got {args.samples}", EXIT_VALIDATION)
     # Only the box matters for these checks; shape and rank are fixed.
     region = FeasibleRegion(d1=16, d2=16, alpha=args.alpha, beta=args.beta, r=4)
-    out = _ensure_out(args.out)
+    out = make_dir(args.out)
     report = verify_lemmas(region, args.samples, args.seed)
     write_json(report, os.path.join(out, "verify.json"))
-    _write_outputs(out, "verify", argv, args.seed, ["verify.json"])
+    _write_outputs(args, argv, ["verify.json"])
     deterministic_violations = (
         report["kl_quadratic"]["violations"]
         + report["hellinger_mse_floor"]["violations"]
@@ -233,18 +227,18 @@ def cmd_verify(args, argv):
 
 def cmd_demo_solar(args, argv):
     image = read_image(args.image if args.image else default_demo_image())
-    out = _ensure_out(args.out)
-    with _keep_failed_report(out, "demo-solar", argv, args.seed):
-        rec = recover_image(
-            image,
-            args.p,
-            _solver_config(args),
-            seed=args.seed,
-            patch=args.patch,
-            scale=args.scale,
-            alpha=args.alpha,
-            beta=args.beta,
-        )
+    cfg = _solver_config(args)
+    out = make_dir(args.out)
+    rec = recover_image(
+        image,
+        args.p,
+        cfg,
+        seed=args.seed,
+        patch=args.patch,
+        scale=args.scale,
+        alpha=args.alpha,
+        beta=args.beta,
+    )
     counts = np.zeros(rec.truth.shape)
     obs = rec.observations
     counts[obs.rows, obs.cols] = obs.counts
@@ -263,7 +257,7 @@ def cmd_demo_solar(args, argv):
         "wall_time_sec": rec.wall_time,
         "solver": rec.report.to_json_dict(),
     }
-    _write_outputs(out, "demo-solar", argv, args.seed, list(views), payload)
+    _write_outputs(args, argv, list(views), payload)
     print(
         f"demo-solar: p={args.p} mse={rec.mse:.4f} "
         f"baseline={rec.baseline_mse:.4f} wall={rec.wall_time:.3f}s"
@@ -396,7 +390,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args, argv)
+        with _keep_failed_report(args, argv):
+            return _COMMANDS[args.command](args, argv)
     except (*_IO_ERRORS, PoismcError, ValueError) as exc:
         code = EXIT_IO if isinstance(exc, _IO_ERRORS) else EXIT_VALIDATION
         if getattr(exc, "report", None) is not None:

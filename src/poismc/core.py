@@ -6,7 +6,7 @@ budget) and the sampled counts.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,6 +54,10 @@ class FeasibleRegion:
     @property
     def shape(self):
         return (self.d1, self.d2)
+
+    def midpoint(self):
+        """The constant guess at the box midpoint ``(alpha + beta) / 2``."""
+        return np.full(self.shape, (self.alpha + self.beta) / 2)
 
 
 def validate_region(region):

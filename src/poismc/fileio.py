@@ -7,14 +7,16 @@ is written sorted and indented so identical payloads produce identical
 bytes. ``np.loadtxt`` parses and ``np.savetxt`` formats both tables.
 
 Every file the package reads or writes is opened through ``_opened``,
-the only place an ``OSError`` becomes ``IoFailure("cannot read|write
-<path>: <errno text>")``. Content that does not parse is ``CorruptFile``,
+and every output directory is made by ``make_dir``; these are the only
+places an ``OSError`` becomes ``IoFailure("cannot read|write <path>:
+<errno text>")``. Content that does not parse is ``CorruptFile``,
 and so is a matrix CSV with no rows (an observation CSV may hold the
 header alone: no samples).
 """
 
 import contextlib
 import json
+import os
 import warnings
 
 import numpy as np
@@ -35,6 +37,18 @@ def _opened(path, mode="r", **kwargs):
             yield fh
     except OSError as exc:
         raise IoFailure(f"cannot {verb} {path}: {exc}") from exc
+
+
+def make_dir(path):
+    """Make the directory ``path`` and its parents, and return ``path``.
+
+    Any ``OSError`` is raised as ``IoFailure``.
+    """
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return path
 
 
 def write_matrix_csv(m, path):

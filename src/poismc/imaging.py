@@ -11,7 +11,8 @@ them; ``fileio`` opens every file and owns the I/O failures. The PGM
 header is read token by token; numpy casts the raster (one split and
 cast for P2, ``np.frombuffer`` for P5) and ``np.savetxt`` writes it.
 A sample that is not an integer or overflows, a short raster, or a
-sample below 0 or above maxval is ``CorruptFile``.
+sample below 0 or above maxval is ``CorruptFile``. Every ``CorruptFile``
+and ``UnsupportedFormat`` names the file.
 """
 
 import re
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .fileio import _opened, read_matrix_csv, write_matrix_csv
 from .solvers import solve
-from .synth import sample_mask, sample_poisson
+from .synth import observe
 
 PGM_MAXVAL_LIMIT = 65535
 
@@ -106,24 +107,25 @@ def _pgm_tokens(data):
     return ((m[1], m.end()) for m in re.finditer(rb"#[^\n]*|(\S+)", data) if m[1])
 
 
-def _parse_pgm(data):
+def _parse_pgm(path, data):
+    """The grid of the PGM bytes ``data`` read from ``path``."""
     tokens = _pgm_tokens(data)
     try:
         magic, _ = next(tokens)
     except StopIteration:
-        raise CorruptFile("empty file") from None
+        raise CorruptFile(f"{path}: empty file") from None
     if magic not in (b"P2", b"P5"):
-        raise UnsupportedFormat(f"unsupported magic {magic!r}")
+        raise UnsupportedFormat(f"{path}: unsupported magic {magic!r}")
     try:
         width, _ = next(tokens)
         height, _ = next(tokens)
         maxval, end = next(tokens)
         width, height, maxval = int(width), int(height), int(maxval)
     except (StopIteration, ValueError):
-        raise CorruptFile("bad PGM header") from None
+        raise CorruptFile(f"{path}: bad PGM header") from None
     if width < 1 or height < 1 or not 0 < maxval <= PGM_MAXVAL_LIMIT:
         raise CorruptFile(
-            f"bad PGM dimensions {width}x{height} maxval {maxval}"
+            f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}"
         )
     try:
         if magic == b"P2":
@@ -134,9 +136,9 @@ def _parse_pgm(data):
         grid = np.asarray(raster, dtype=np.int64)[: width * height]
         grid = grid.reshape(height, width)
     except (ValueError, OverflowError) as exc:
-        raise CorruptFile(f"bad PGM raster: {exc}") from None
+        raise CorruptFile(f"bad PGM raster {path}: {exc}") from None
     if grid.min() < 0 or grid.max() > maxval:
-        raise CorruptFile(f"sample outside 0..{maxval}")
+        raise CorruptFile(f"{path}: sample outside 0..{maxval}")
     return grid
 
 
@@ -147,7 +149,7 @@ def read_image(path):
         return read_matrix_csv(path)
     with _opened(path, "rb") as fh:
         data = fh.read()
-    return _parse_pgm(data)
+    return _parse_pgm(path, data)
 
 
 def write_image(grid, path):
@@ -229,21 +231,19 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
     truth = patchify(intensities, layout)
 
     t0 = time.perf_counter()
-    mask = sample_mask(d1, d2, p * d1 * d2, seed)
-    obs = sample_poisson(truth, mask, seed, m_expected=p * d1 * d2)
+    obs = observe(truth, p * d1 * d2, seed)
     report = solve(obs, region, cfg)
     wall = time.perf_counter() - t0
 
-    baseline = np.full(truth.shape, (alpha + beta) / 2.0)
     return ImageRecovery(
         layout=layout,
         region=region,
         truth=truth,
-        mask=mask,
+        mask=obs.mask(),
         observations=obs,
         estimate=report.estimate,
         mse=mse_per_entry(truth, report.estimate),
-        baseline_mse=mse_per_entry(truth, baseline),
+        baseline_mse=mse_per_entry(truth, region.midpoint()),
         report=report,
         wall_time=wall,
     )

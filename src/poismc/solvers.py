@@ -135,14 +135,14 @@ def init_matrix(obs, region):
     """Count-seeded starting point.
 
     Sampled cells take their observed counts, everything else the box
-    midpoint ``(alpha + beta) / 2``; the result is clamped into the box
+    midpoint ``region.midpoint()``; the result is clamped into the box
     so the objective and its gradient are defined at it.
     """
     if obs.shape != region.shape:
         raise ShapeMismatch(
             f"observations are {obs.shape}, region is {region.shape}"
         )
-    m0 = np.full(region.shape, (region.alpha + region.beta) / 2.0)
+    m0 = region.midpoint()
     m0[obs.rows, obs.cols] = obs.counts
     return np.clip(m0, region.beta, region.alpha)
 

@@ -1,5 +1,9 @@
 """Ground-truth synthesis, sampling, and Monte-Carlo experiment harness.
 
+Both experiments observe a truth the same way, through :func:`observe`:
+a Bernoulli cell set of expected size m (:func:`sample_mask`), then one
+Poisson count per sampled cell (:func:`sample_poisson`).
+
 Every randomized operation is a deterministic function of (inputs, seed).
 Logical streams (ground truth, sample mask, counts, trial scheduling,
 verification draws) are derived from the seed through distinct labeled
@@ -24,7 +28,7 @@ from .errors import (
 )
 from .fileio import SCHEMA_VERSION, _opened
 from .likelihood import hellinger_mse_floor, hellinger_sq_matrix, kl
-from .solvers import SolverConfig, SolverReport, solve
+from .solvers import SolverReport, solve
 
 # Substream labels; fixed forever for reproducibility.
 STREAM_TRUTH = 0
@@ -62,22 +66,9 @@ class SynthesisSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0 < self.mask_m <= self.d1 * self.d2:
-            raise BadM(
-                f"mask_m must be in (0, {self.d1 * self.d2}], got {self.mask_m}"
-            )
-
-    @property
-    def d1(self):
-        return self.region.d1
-
-    @property
-    def d2(self):
-        return self.region.d2
-
-    @property
-    def r(self):
-        return self.region.r
+        cells = self.region.d1 * self.region.d2
+        if not 0 < self.mask_m <= cells:
+            raise BadM(f"mask_m must be in (0, {cells}], got {self.mask_m}")
 
 
 @dataclass(frozen=True)
@@ -154,15 +145,24 @@ def sample_poisson(truth, mask, seed, m_expected=None):
     )
 
 
+def observe(truth, m, seed):
+    """One Poisson count per cell of a Bernoulli sample of ``truth``'s cells.
+
+    The sample has expected size ``m``. Equal to ``sample_poisson(truth,
+    sample_mask(d1, d2, m, seed), seed, m_expected=m)``.
+    """
+    d1, d2 = np.shape(truth)
+    return sample_poisson(truth, sample_mask(d1, d2, m, seed), seed, m_expected=m)
+
+
 def run_trial(spec, cfg):
     """Synthesize, sample, solve, and score one problem instance."""
     truth = make_low_rank(spec)
-    mask = sample_mask(spec.d1, spec.d2, spec.mask_m, spec.seed)
-    obs = sample_poisson(truth, mask, spec.seed, m_expected=spec.mask_m)
+    obs = observe(truth, spec.mask_m, spec.seed)
     report = solve(obs, spec.region, cfg)
     return TrialResult(
         mse=mse_per_entry(truth, report.estimate),
-        m_realized=int(mask.sum()),
+        m_realized=len(obs),
         solver_report=report,
         seed=spec.seed,
     )

@@ -8,9 +8,9 @@ import pytest
 
 from poismc import (
     BoundConstants, FeasibleRegion, SolverConfig, init_matrix, lower_bound,
-    nuclear_norm, upper_bound,
+    nuclear_norm, upper_bound, verify_lemmas,
 )
-from poismc import solvers as solvers_mod
+from poismc import cli as cli_mod, solvers as solvers_mod
 from poismc.cli import build_parser, default_demo_image, main
 from poismc.errors import NonPositiveEntryAtObservation
 from poismc.likelihood import _sampled_gradient
@@ -131,6 +131,17 @@ def test_complete_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
                             extra=("--iters", "20", "--lambda", "nan")))
     assert rc == 2
     assert "lam must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_complete_baseline_without_truth_exits_2_before_the_out_directory(
+        tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim)) == 0
+    out = tmp_path / "rec"
+    assert run(*complete_args(sim / "observations.csv", out,
+                              extra=("--baseline",))) == 2
+    assert "--baseline requires --truth" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -353,6 +364,13 @@ def test_bounds_validation_exit_2(capsys):
     assert rc == 2
 
 
+def test_bounds_nonpositive_m_exits_2(capsys):
+    rc = run("bounds", "--d1", "64", "--d2", "64", "--rank", "4",
+             "--alpha", "9", "--beta", "1", "--m", "0")
+    assert rc == 2
+    assert "--m must be > 0" in capsys.readouterr().err
+
+
 # --- verify ---------------------------------------------------------------------
 
 
@@ -368,6 +386,29 @@ def test_verify_defaults_pass(tmp_path):
 def test_verify_tiny_sample_budget(tmp_path):
     rc = run("verify", "--samples", "1", "--out", str(tmp_path / "v"))
     assert rc == 0
+
+
+def test_verify_zero_samples_exits_2_before_the_out_directory(tmp_path, capsys):
+    out = tmp_path / "v"
+    assert run("verify", "--samples", "0", "--out", str(out)) == 2
+    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_violation_exits_4_and_keeps_its_outputs(tmp_path, monkeypatch,
+                                                       capsys):
+    def violated(region, samples, seed):
+        report = verify_lemmas(region, samples, seed)
+        report["kl_quadratic"]["violations"] = 1
+        return report
+
+    monkeypatch.setattr(cli_mod, "verify_lemmas", violated)
+    out = tmp_path / "v"
+    assert run("verify", "--samples", "20", "--out", str(out)) == 4
+    assert "deterministic inequality violated" in capsys.readouterr().err
+    assert read_json(out / "verify.json")["kl_quadratic"]["violations"] == 1
+    manifest = read_json(out / "manifest.json")
+    assert manifest["command"] == "verify" and manifest["outputs"] == ["verify.json"]
 
 
 def test_verify_report_schema_stable(tmp_path):
@@ -408,6 +449,13 @@ def test_demo_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
     assert report["solver"]["iterations_run"] == 3
     assert read_json(out / "manifest.json")["outputs"] == ["report.json"]
     assert not list(out.glob("*.pgm"))
+
+
+def test_demo_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
+    out = tmp_path / "demo"
+    assert run("demo-solar", "--lambda", "nan", "--out", str(out)) == 2
+    assert "lam must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_demo_absent_image_exits_1(tmp_path):
@@ -466,7 +514,7 @@ def test_uncreatable_out_exits_1_without_traceback(command, bad, tmp_path, capsy
     capsys.readouterr()
     assert run(*argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(out) in err
+    assert err.startswith("error: ") and f"cannot write {out}" in err
     assert "Traceback" not in err
 
 

@@ -85,6 +85,9 @@ MALFORMED = {
     "p2-hash-inside-a-sample": (read_image, b"P2\n2 1\n255\n12#3 4\n"),
     "p2-negative-sample": (read_image, b"P2\n2 1\n255\n-3 4\n"),
     "p5-16-bit-truncated": (read_image, b"P5\n2 2\n65535\n" + bytes(6)),
+    "pgm-empty": (read_image, b""),
+    "pgm-short-header": (read_image, b"P2\n2 1\n"),
+    "pgm-zero-width": (read_image, b"P2\n0 1\n255\n"),
 }
 
 
@@ -98,8 +101,9 @@ def test_malformed_content_is_corrupt_file(name, action, tmp_path):
     path.write_bytes(content)
     with warnings.catch_warnings():
         warnings.simplefilter(action)
-        with pytest.raises(CorruptFile):
+        with pytest.raises(CorruptFile) as info:
             read(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.filterwarnings("error")

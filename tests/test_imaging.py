@@ -184,8 +184,9 @@ def test_truncated_pgm_rejected(tmp_path):
 def test_unsupported_magic(tmp_path):
     path = tmp_path / "color.pgm"
     path.write_text("P3\n1 1\n255\n1 2 3\n")
-    with pytest.raises(UnsupportedFormat):
+    with pytest.raises(UnsupportedFormat) as info:
         read_image(path)
+    assert str(path) in str(info.value)
 
 
 def test_missing_file_is_io_failure(tmp_path):

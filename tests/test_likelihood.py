@@ -67,6 +67,12 @@ def test_gradient_single_entry():
     assert np.count_nonzero(g) == 1
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_gradient_rejects_nonpositive_at_observation(value):
+    with pytest.raises(NonPositiveEntryAtObservation):
+        gradient(np.array([[value]]), single_obs(1))
+
+
 def test_gradient_zero_at_matched_counts():
     obs = ObservationSet(d1=2, d2=2, rows=[0, 1], cols=[0, 1], counts=[3, 5])
     x = np.array([[3.0, 1.0], [1.0, 5.0]])
