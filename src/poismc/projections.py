@@ -23,14 +23,20 @@ from one eigendecomposition of the Gram matrix of the shorter side
   the theta of the eigenvalues under the same guard; where the bracket
   straddles the radius, the guard fails or the Gram matrix leaves the
   float range, it runs the SVD formula.
-* ``alternating_projection`` takes the ball step's Gram path on its
-  first two sweeps only, and the second sweep first tries the basis
-  bound. A third sweep runs only where the ball bound on the second, and
-  it tends to keep binding with a theta that shrinks as the gap closes,
-  so sigma_1 / theta grows and the guard would most likely fail after
-  the ``eigh`` had been paid for: from the third sweep on the ball step
-  runs the SVD formula directly. The sweep number alone picks the
-  decomposition.
+* ``alternating_projection`` picks each sweep's decomposition by its
+  sweep number alone:
+
+  - sweep 1 runs ``eigh``, whose vectors the second sweep's basis bound
+    reads;
+  - sweep 2 reads the eigenvalues only (``eigvalsh``), which is all the
+    bracket needs, and runs ``eigh`` on the same Gram matrix only where
+    the bracket proves the point outside and the guard holds, since the
+    shrink reads the vectors;
+  - sweep 3 onward runs the SVD formula: a third sweep runs only where
+    the ball bound on the second, and it tends to keep binding with a
+    theta that shrinks as the gap closes, so sigma_1 / theta grows and
+    the guard would most likely fail after the ``eigh`` had been paid
+    for.
 
 The public functions check their arguments, then run an unchecked
 kernel (``_ball_step``, ``_svt``, ``_alternating_projection``). The
@@ -98,7 +104,9 @@ GRAM_SVT_GUARD = 1e-3 / math.sqrt(EPS)
 # ``eigh`` returns the exact eigenvalues of G + E with
 # ||E||_2 <= p(n) * eps * ||G||_2 (LAPACK Users' Guide, 4.7), p(n) a
 # modest function of n; with p(n) = m + 1 >= n + 1 and ||G||_2 <= tr(G)
-# that is at most (m + 1) * eps * tr(G) too. By Weyl's inequality each
+# that is at most (m + 1) * eps * tr(G) too. The same bound covers
+# ``eigvalsh``, the symmetric driver run without vectors, so the bracket
+# holds on its values as well. By Weyl's inequality each
 # computed eigenvalue lam_i then lies within
 # delta = 2 * (m + 1) * eps * tr(G) of sigma_i**2, up to terms of order
 # eps**2. A product that underflows adds at most 2**-1075 to an entry of
@@ -164,36 +172,81 @@ def project_nuclear_ball(x, radius):
     return _ball_step(as_matrix(x), radius)[0]
 
 
-def _ball_step(x, radius, gram=True):
+def _ball_step(x, radius, gram=True, vectors=True):
     """``project_nuclear_ball`` on a checked matrix, with a basis for ``x``.
 
     Returns ``(result, q)``. ``q`` is a complete orthonormal basis of the
     shorter side for ``_basis_bound``: the eigenvectors of the Gram
     matrix, or the matching singular vectors where the SVD ran. With
-    ``gram=False`` the step runs the SVD formula directly.
+    ``gram=False`` the step runs the SVD formula directly. With
+    ``vectors=False`` the Gram path reads the eigenvalues only, and runs
+    ``eigh`` on the same Gram matrix only to shrink; ``q`` is None where
+    no vectors were computed, that is where the bracket proves ``x``
+    inside.
     """
-    spec = _gram_eigh(x) if gram else None
+    spec = _gram_eigh(x, vectors) if gram else None
     if spec is not None:
         a, g, s, v = spec
-        m, n = a.shape
-        total = float(s.sum())
-        # |s_i - sigma_i| <= delta / max(s_i, sqrt(delta)); see
-        # GRAM_BALL_DELTA. tr(G) can overflow where lam_max does not.
-        delta = GRAM_BALL_DELTA * (m + 1) * float(g.trace()) + n * m * SUBNORMAL
-        if delta < math.inf:
-            width = float((delta / np.maximum(s, math.sqrt(delta))).sum())
-            width += 2 * (n + 1) * EPS * (total + width)
-            if total + width <= radius:
-                return np.array(x), v
-            if total - width > radius:
-                theta = _ball_theta(s[::-1], radius)
-                if s[-1] <= GRAM_SVT_GUARD * theta:
-                    return _gram_shrink(x, a, s, v, theta), v
+        theta = _gram_theta(a, g, s, radius)
+        if theta and v is None:
+            # Proved outside from the values alone. The shrink reads the
+            # vectors: take them from eigh of the Gram matrix at hand and
+            # decide again from that call's values, as vectors=True does.
+            spec = _eigh(g, vectors=True)
+            if spec is None:
+                theta = None
+            else:
+                s, v = spec
+                theta = _gram_theta(a, g, s, radius)
+        if theta == 0.0:
+            return np.array(x), v
+        if theta is not None:
+            return _gram_shrink(x, a, s, v, theta), v
     u, s, vt = _svd(x)
     q = vt.T if x.shape[0] >= x.shape[1] else u
     if float(s.sum()) <= radius:
         return np.array(x), q
     return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q
+
+
+def _gram_theta(a, g, s, radius):
+    """The ball step's theta from the Gram values ``s`` of ``a``, or None.
+
+    Returns 0.0 where the bracket (``_gram_bracket``) proves ``a`` inside
+    the ball, the theta to shrink at where it proves ``a`` outside and
+    ``sigma_1 <= GRAM_SVT_GUARD * theta``, and None where the SVD formula
+    must decide.
+    """
+    bracket = _gram_bracket(a, g, s)
+    if bracket is None:
+        return None
+    low, high = bracket
+    if high <= radius:
+        return 0.0
+    if low > radius:
+        theta = _ball_theta(s[::-1], radius)
+        if s[-1] <= GRAM_SVT_GUARD * theta:
+            return theta
+    return None
+
+
+def _gram_bracket(a, g, s):
+    """``(low, high)`` around ``||a||_*`` from the Gram values ``s``, or None.
+
+    ``g`` is the computed ``a.T @ a`` and ``s`` the square roots of its
+    eigenvalues, from ``eigh`` or ``eigvalsh`` (see ``GRAM_BALL_DELTA``).
+    None where the bound itself overflows.
+    """
+    m, n = a.shape
+    total = float(s.sum())
+    # |s_i - sigma_i| <= delta / max(s_i, sqrt(delta)); see
+    # GRAM_BALL_DELTA. tr(G) can overflow where lam_max does not.
+    delta = GRAM_BALL_DELTA * (m + 1) * float(g.trace()) + n * m * SUBNORMAL
+    if not delta < math.inf:
+        return None
+    width = float((delta / np.maximum(s, math.sqrt(delta))).sum())
+    width += 2 * (n + 1) * EPS * (total + width)
+    return total - width, total + width
 
 
 def _ball_theta(s, radius):
@@ -205,8 +258,8 @@ def _ball_theta(s, radius):
     # then theta makes the sum hit radius. In exact arithmetic index 1 is
     # always active; for a radius below the rounding of s_1 the scan can
     # lose it, and then k = 1 is the answer.
-    css = np.cumsum(s)
-    active = np.nonzero(s - (css - radius) / np.arange(1, s.size + 1) > 0.0)[0]
+    css = s.cumsum()
+    active = (s - (css - radius) / np.arange(1, s.size + 1) > 0.0).nonzero()[0]
     k = int(active[-1]) + 1 if active.size else 1
     return (css[k - 1] - radius) / k
 
@@ -228,7 +281,18 @@ def _basis_bound(x, q):
 
 def _fro_norm(x):
     """``np.linalg.norm(x)``, also where squares of the entries underflow."""
-    return _no_underflow(np.linalg.norm, x)
+    return _no_underflow(_frobenius, x)
+
+
+def _frobenius(x):
+    """``np.linalg.norm(x)`` without its wrapper: the same dot product.
+
+    The entries are raveled in memory order (``order="K"``), as
+    ``np.linalg.norm`` does, so the sum runs in the same order and keeps
+    its bits for F-ordered and transposed inputs too.
+    """
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def _no_underflow(norm, x):
@@ -277,29 +341,44 @@ def _svt(x, tau):
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
-def _gram_eigh(x):
+def _gram_eigh(x, vectors=True):
     """``eigh`` of the Gram matrix of ``x``'s shorter side, or None.
 
     Returns ``(a, g, s, v)``: ``a`` is ``x``, or ``x.T`` when ``x`` is
     wide, so ``a`` is tall; ``g = a.T @ a = v diag(lam) v.T`` as computed,
     with ``lam`` ascending, and ``s = sqrt(max(lam, 0))`` estimates the
-    singular values of ``x``. Returns None for an empty ``x``, when the
-    eigendecomposition raises, or when the largest eigenvalue is not a
-    finite normal number (the Gram matrix overflowed, underflowed or
-    holds NaN); the callers then run the SVD.
+    singular values of ``x``. With ``vectors=False`` ``lam`` comes from
+    ``eigvalsh`` and ``v`` is None. Returns None for an empty ``x`` and
+    where ``_eigh`` does; the callers then run the SVD.
     """
     a = x.T if x.shape[0] < x.shape[1] else x
     if not a.size:
         return None
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.T @ a
+    spec = _eigh(g, vectors)
+    return None if spec is None else (a, g, *spec)
+
+
+def _eigh(g, vectors):
+    """``(sqrt(max(lam, 0)), v)`` from ``eigh(g)``, or None.
+
+    ``v`` is None with ``vectors=False``, where ``lam`` comes from
+    ``eigvalsh``. Returns None when the eigendecomposition raises, or
+    when the largest eigenvalue is not a finite normal number (the Gram
+    matrix overflowed, underflowed or holds NaN).
+    """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            g = a.T @ a
-            lam, v = np.linalg.eigh(g)
+            if vectors:
+                lam, v = np.linalg.eigh(g)
+            else:
+                lam, v = np.linalg.eigvalsh(g), None
     except np.linalg.LinAlgError:
         return None
     if not TINY_NORMAL <= lam[-1] < math.inf:
         return None
-    return a, g, np.sqrt(np.maximum(lam, 0.0)), v
+    return np.sqrt(np.maximum(lam, 0.0)), v
 
 
 def _gram_shrink(x, a, s, v, tau):
@@ -341,16 +420,16 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     ``u``, since the thin SVD gives it only d1 right vectors. Otherwise
     the sweep runs the ball step, whose bracket on the sum of the
     singular values proves most of the remaining inside points from the
-    same ``eigh`` it would shrink through. The guard exceeds the rounding
-    of the basis bound (see ``BALL_TEST_GUARD``), so only a point the
-    ball step would leave alone skips it, and the result, iteration count
-    and gap equal those of the plain loop. The first sweep has no such
-    test: it starts from an arbitrary point, in the solvers a gradient
-    step, which usually lies outside the ball.
+    eigenvalues alone. The guard exceeds the rounding of the basis bound
+    (see ``BALL_TEST_GUARD``), so only a point the ball step would leave
+    alone skips it, and the result, iteration count and gap equal those
+    of the plain loop. The first sweep has no such test: it starts from
+    an arbitrary point, in the solvers a gradient step, which usually
+    lies outside the ball.
 
-    The first two sweeps take the ball step's Gram path; from the third
-    on, the ball step runs the SVD formula directly, as the module
-    docstring explains.
+    The first sweep takes the ball step's Gram path with eigenvectors,
+    the second with eigenvalues only; from the third on, the ball step
+    runs the SVD formula directly, as the module docstring explains.
 
     Raises
     ------
@@ -375,8 +454,8 @@ def _alternating_projection(u, region, tol, max_iter):
     for j in range(1, max_iter + 1):
         if j == 2 and _basis_bound(u, basis) <= inside:
             return ProjectionReport(result=u, iterations=j, final_gap=0.0)
-        v, basis = _ball_step(u, radius, gram=j <= 2)
-        u = np.clip(v, region.beta, region.alpha)
+        v, basis = _ball_step(u, radius, gram=j <= 2, vectors=j == 1)
+        u = v.clip(region.beta, region.alpha)
         gap = _fro_norm(v - u)
         if gap <= tol or gap <= noise * _fro_norm(u):
             return ProjectionReport(result=u, iterations=j, final_gap=gap)

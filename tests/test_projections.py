@@ -15,8 +15,9 @@ from poismc import (
 )
 from poismc import projections
 from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
-from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, _ball_step,
-                                _basis_bound)
+from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, TINY_NORMAL,
+                                _ball_step, _basis_bound, _fro_norm,
+                                _gram_bracket, _gram_eigh, _gram_theta)
 
 from test_solvers import binding_instance, hadamard
 
@@ -193,14 +194,57 @@ def test_ball_is_the_svd_formula_within_the_gram_bound(case):
     # bracket proves inside, err by about n * eps. The bound takes
     # ||x||_F for sigma_1 and n = d1 + d2, as the svt bound does.
     x, radius = case
-    got = project_nuclear_ball(x, radius)
+    assert ball_error(project_nuclear_ball(x, radius), x, radius) <= 1.0
+
+
+def ball_error(got, x, radius):
+    """||got - ball(x)||_F over the ball step's documented tolerance."""
     s = np.linalg.svd(x, compute_uv=False)
     theta = bisect_theta(s, radius) if s.sum() > radius else 0.0
     fro = np.linalg.norm(x)
     ratio = fro / theta if theta > 0.0 else 0.0
     bound = sum(x.shape) * np.finfo(float).eps * fro * (1.0 + ratio)
-    want = ball_oracle(x, radius)
-    assert np.linalg.norm(got - want) <= bound
+    return np.linalg.norm(got - ball_oracle(x, radius)) / bound
+
+
+def gram_decision(x, radius, vectors):
+    """What the Gram path decides: "svd", "inside" or "shrink"."""
+    spec = _gram_eigh(x, vectors)
+    theta = None if spec is None else _gram_theta(*spec[:3], radius)
+    return "svd" if theta is None else "inside" if theta == 0.0 else "shrink"
+
+
+def bracket_end_case(seed, d1, d2):
+    """A radius at the lower of the two Gram brackets' upper ends.
+
+    The eigenvalues from ``eigh`` and from ``eigvalsh`` often differ in
+    their last bits, and so do the brackets built on them. At this radius
+    one bracket proves the input inside and the other straddles it.
+    """
+    x = np.random.default_rng(seed).normal(size=(d1, d2))
+    highs = [_gram_bracket(*_gram_eigh(x, vectors)[:3])[1] for vectors in (False, True)]
+    return x, min(highs)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ball_cases())
+@example(bracket_end_case(4, 9, 11))
+@example(bracket_end_case(7, 11, 8))
+def test_ball_step_from_values_only_is_the_step_with_vectors(case):
+    # The second sweep's step reads eigvalsh, and eigh only to shrink. Where
+    # its bracket decides as the eigh bracket does, the result keeps its
+    # bits; where the two differ (their values may differ in the last
+    # bits), both results still lie within the ball step's tolerance.
+    x, radius = case
+    got, q = _ball_step(x, radius, vectors=False)
+    want, _ = _ball_step(x, radius)
+    if gram_decision(x, radius, False) == gram_decision(x, radius, True):
+        assert np.array_equal(got, want)
+    else:
+        assert ball_error(got, x, radius) <= 1.0
+        assert ball_error(want, x, radius) <= 1.0
+    if q is None:
+        assert gram_decision(x, radius, False) == "inside"
 
 
 def unit_3x5():
@@ -218,9 +262,8 @@ BALL_FALLBACKS = {
 }
 
 
-@pytest.mark.parametrize("tall", [False, True])
-@pytest.mark.parametrize("name", BALL_FALLBACKS)
-def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
+def check_ball_fallback(monkeypatch, name, tall, vectors):
+    """One failed Gram try, then the SVD formula's result, bit for bit."""
     scale, frac = BALL_FALLBACKS[name]
     x, nuclear = unit_3x5()
     x, radius = scale * (x.T.copy() if tall else x), frac * scale * nuclear
@@ -228,17 +271,31 @@ def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
     if name == "eigh raises":
         raise_in_eigh(monkeypatch)
     counts = count_decompositions(monkeypatch)
-    got, q = _ball_step(x, radius)
-    assert counts == {"eigh": 1, "full": 1, "values": 0}
+    got, q = _ball_step(x, radius, vectors=vectors)
+    assert counts == {"eigh": int(vectors), "eigvalsh": int(not vectors),
+                      "full": 1, "values": 0}
     assert np.array_equal(got, want)
     assert q.shape == (3, 3)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+@pytest.mark.parametrize("name", BALL_FALLBACKS)
+def test_ball_falls_back_to_the_svd_formula(monkeypatch, name, tall):
+    check_ball_fallback(monkeypatch, name, tall, vectors=True)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+@pytest.mark.parametrize("name", BALL_FALLBACKS)
+def test_ball_falls_back_from_values_only(monkeypatch, name, tall):
+    # The second sweep's fallback: the failed try is one eigvalsh, no eigh.
+    check_ball_fallback(monkeypatch, name, tall, vectors=False)
 
 
 def test_ball_step_without_the_gram_path_runs_only_the_svd(monkeypatch):
     x, nuclear = unit_3x5()
     counts = count_decompositions(monkeypatch)
     got, _ = _ball_step(x, 0.5 * nuclear, gram=False)
-    assert counts == {"eigh": 0, "full": 1, "values": 0}
+    assert counts == {"eigh": 0, "eigvalsh": 0, "full": 1, "values": 0}
     assert np.array_equal(got, ball_svd_formula(x, 0.5 * nuclear))
 
 
@@ -252,12 +309,44 @@ def test_ball_step_on_the_gram_path_skips_the_svd(monkeypatch, frac, tall):
     want = ball_svd_formula(x, frac * nuclear)
     counts = count_decompositions(monkeypatch)
     got, q = _ball_step(x, frac * nuclear)
-    assert counts == {"eigh": 1, "full": 0, "values": 0}
+    assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert q.shape == (3, 3)
     if frac > 1.0:
         assert np.array_equal(got, x)
     else:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_ball_step_from_values_only_proves_inside_without_eigh(monkeypatch, tall):
+    # The second sweep's inside case: the eigenvalues prove it, and no
+    # vectors are computed.
+    x, nuclear = unit_3x5()
+    x = x.T.copy() if tall else x
+    counts = count_decompositions(monkeypatch)
+    got, q = _ball_step(x, (1.0 + 1e-6) * nuclear, vectors=False)
+    assert counts == {"eigh": 0, "eigvalsh": 1, "full": 0, "values": 0}
+    assert q is None
+    assert np.array_equal(got, x)
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_ball_step_from_values_only_shrinks_through_one_eigh(monkeypatch, tall):
+    # The second sweep's Gram-path shrink: eigvalsh proves the point
+    # outside, then one eigh of the same Gram matrix gives the vectors, and
+    # the result is the step with vectors, bit for bit.
+    x, nuclear = unit_3x5()
+    x = x.T.copy() if tall else x
+    want, want_q = _ball_step(x, 0.5 * nuclear)
+    grams, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a) or eigh(a))
+    counts = count_decompositions(monkeypatch)
+    got, q = _ball_step(x, 0.5 * nuclear, vectors=False)
+    assert counts == {"eigh": 1, "eigvalsh": 1, "full": 0, "values": 0}
+    assert np.array_equal(got, want)
+    assert np.array_equal(q, want_q)
+    a = x if tall else x.T
+    assert len(grams) == 1 and np.array_equal(grams[0], a.T @ a)
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
@@ -382,7 +471,7 @@ def test_svt_of_a_pmlsv_sized_step_takes_the_gram_path(monkeypatch):
     want = svd_formula(x, 0.1)
     counts = count_decompositions(monkeypatch)
     got = svt(x, 0.1)
-    assert counts == {"eigh": 1, "full": 0, "values": 0}
+    assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -404,6 +493,7 @@ def raise_in_eigh(monkeypatch):
     def eigh(a):
         raise np.linalg.LinAlgError("forced")
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigh)
 
 
 @pytest.mark.parametrize("name", SVT_FALLBACKS)
@@ -416,7 +506,7 @@ def test_svt_falls_back_to_the_svd_formula(monkeypatch, name):
         raise_in_eigh(monkeypatch)
     counts = count_decompositions(monkeypatch)
     got = svt(x, tau)
-    assert counts == {"eigh": eighs, "full": 1, "values": 0}
+    assert counts == {"eigh": eighs, "eigvalsh": 0, "full": 1, "values": 0}
     assert np.array_equal(got, want)
 
 
@@ -428,7 +518,7 @@ def test_svt_on_the_gram_side_of_the_guard_skips_the_svd(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a.shape) or eigh(a))
     counts = count_decompositions(monkeypatch)
     svt(x, tau)
-    assert counts == {"eigh": 1, "full": 0, "values": 0}
+    assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert grams == [(3, 3)]
 
 
@@ -438,6 +528,34 @@ def test_svt_of_nan_raises_svd_failure():
 
 
 # --- alternating projection ------------------------------------------------------
+
+
+FRO_LAYOUTS = {
+    "C": lambda x: np.ascontiguousarray(x),
+    "F": lambda x: np.asfortranarray(x),
+    "transposed": lambda x: np.ascontiguousarray(x).T,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(sorted(FRO_LAYOUTS)), st.sampled_from([1.0, 1e-100, 1e150]))
+def test_fro_norm_keeps_the_bits_of_numpy_norm(d1, d2, seed, layout, scale):
+    # The gap and the noise floor of every sweep: the same dot product as
+    # np.linalg.norm, in memory order, so F-ordered and transposed inputs
+    # (a wide ball step returns one) keep their bits.
+    x = FRO_LAYOUTS[layout](scale * np.random.default_rng(seed).normal(size=(d1, d2)))
+    assert _fro_norm(x) == np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("layout", sorted(FRO_LAYOUTS))
+def test_fro_norm_rescues_underflowing_squares(layout):
+    # Entries near 1e-170 square below the smallest subnormal, so a plain
+    # norm reads 0; the rescue scales them to a largest entry of 1.
+    unit = np.random.default_rng(3).normal(size=(7, 4))
+    x = FRO_LAYOUTS[layout](1e-170 * unit)
+    assert np.linalg.norm(x) == 0.0
+    assert _fro_norm(x) == pytest.approx(1e-170 * np.linalg.norm(unit), rel=1e-14)
 
 
 def test_altproj_fixed_point():
@@ -515,14 +633,14 @@ def altproj_reference(u0, reg, tol, max_iter):
     """Plain ball-then-box loop: one ball step on every sweep, same closing rule.
 
     The ball step is the kernel's, and takes the Gram path on the first
-    two sweeps only, as the kernel's loop does. Only the second sweep's
-    basis-bound test is left out.
+    two sweeps only, the second from eigenvalues only, as the kernel's
+    loop does. Only the second sweep's basis-bound test is left out.
     """
     u = np.asarray(u0, dtype=float)
     noise = 4.0 * np.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
     for j in range(1, max_iter + 1):
-        v, _ = _ball_step(u, reg.nuclear_radius, gram=j <= 2)
+        v, _ = _ball_step(u, reg.nuclear_radius, gram=j <= 2, vectors=j == 1)
         u = project_box(v, reg)
         gap = float(np.linalg.norm(v - u))
         if gap <= max(tol, noise * np.linalg.norm(u)):
@@ -589,9 +707,10 @@ def test_altproj_bit_equal_to_full_svd_loop(case):
 
 
 def count_decompositions(monkeypatch):
-    """Count ``eigh`` calls and SVDs with (full) and without (values) vectors."""
-    counts = {"eigh": 0, "full": 0, "values": 0}
-    svd, eigh = np.linalg.svd, np.linalg.eigh
+    """Count ``eigh`` and ``eigvalsh`` calls, and SVDs with (full) and
+    without (values) vectors."""
+    counts = {"eigh": 0, "eigvalsh": 0, "full": 0, "values": 0}
+    svd, eigh, eigvalsh = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
 
     def counted_svd(x, full_matrices=True, compute_uv=True, **kw):
         counts["full" if compute_uv else "values"] += 1
@@ -601,8 +720,13 @@ def count_decompositions(monkeypatch):
         counts["eigh"] += 1
         return eigh(a)
 
+    def counted_eigvalsh(a):
+        counts["eigvalsh"] += 1
+        return eigvalsh(a)
+
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return counts
 
 
@@ -613,7 +737,7 @@ def test_altproj_clip_inside_ball_skips_full_svd(monkeypatch):
     reg = region(d1=3, d2=3, alpha=3.0, beta=1.0, r=3)
     counts = count_decompositions(monkeypatch)
     rep = alternating_projection(np.full((3, 3), 6.0), reg)
-    assert counts == {"eigh": 1, "full": 0, "values": 0}
+    assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert rep.iterations == 2
     assert rep.final_gap == 0.0
     assert np.array_equal(rep.result, np.full((3, 3), 3.0))
@@ -623,7 +747,7 @@ def test_altproj_values_only_sum_proves_what_the_basis_bound_cannot(monkeypatch)
     # The start lies in the ball (radius 2), so the first sweep's basis is
     # the standard one. The clip [[1, .9], [.9, .9]] has nuclear norm 1.9,
     # but its column norms sum to 2.62: only the bracket on the sum of its
-    # singular values, from the ball step's own eigh, proves it.
+    # singular values, from the second sweep's eigvalsh, proves it.
     reg = region(d1=2, d2=2, alpha=1.0, beta=0.9, r=1)
     u0 = np.diag([1.0, -0.5])
     clip = np.array([[1.0, 0.9], [0.9, 0.9]])
@@ -631,7 +755,7 @@ def test_altproj_values_only_sum_proves_what_the_basis_bound_cannot(monkeypatch)
     assert _basis_bound(clip, basis) > reg.nuclear_radius
     counts = count_decompositions(monkeypatch)
     rep = alternating_projection(u0, reg)
-    assert counts == {"eigh": 2, "full": 0, "values": 0}
+    assert counts == {"eigh": 1, "eigvalsh": 1, "full": 0, "values": 0}
     assert rep.iterations == 2
     assert rep.final_gap == 0.0
     assert np.array_equal(rep.result, clip)
@@ -667,36 +791,57 @@ def test_basis_bound_never_undercuts_the_nuclear_norm(case):
         assert _basis_bound(x, q) >= nuclear_norm(x) * (1.0 - BALL_TEST_GUARD)
 
 
+@settings(max_examples=300, deadline=None)
+@given(bound_cases())
+def test_values_only_bracket_holds_the_nuclear_norm(case):
+    # The bracket the second sweep reads from eigvalsh alone holds the
+    # SVD's sum of singular values. At 2**-540 the Gram matrix underflows,
+    # and the step leaves the decision to the SVD.
+    for x in case:
+        spec = _gram_eigh(x, vectors=False)
+        s = np.linalg.svd(x, compute_uv=False)
+        if spec is None:
+            assert s[0] < np.sqrt(TINY_NORMAL)
+            continue
+        assert spec[3] is None
+        low, high = _gram_bracket(*spec[:3])
+        assert low <= s.sum() <= high
+
+
 def test_altproj_tests_values_only_once_while_ball_binds(monkeypatch):
     # The ball binds on every sweep, so after the second sweep's basis
-    # bound fails no decomposition is spent on a test: each sweep makes
-    # one, an eigh on the first two sweeps, whose Gram path holds, and a
-    # full SVD on every later one.
+    # bound fails no decomposition is spent on a test: the first sweep
+    # makes an eigh, the second an eigvalsh and the eigh its Gram-path
+    # shrink reads, and every later one a full SVD.
     obs, reg = binding_instance(0)
     u0 = init_matrix(obs, reg)
     counts = count_decompositions(monkeypatch)
     rep = alternating_projection(u0, reg, tol=1e-6)
     assert rep.iterations > 3
-    assert counts == {"eigh": 2, "full": rep.iterations - 2, "values": 0}
+    assert counts == {"eigh": 2, "eigvalsh": 1, "full": rep.iterations - 2,
+                      "values": 0}
 
 
 @pytest.mark.parametrize("shape", [(15, 12), (12, 15)])
 def test_altproj_makes_no_eigh_after_the_second_sweep(monkeypatch, shape):
     # The ball binds on every sweep of this call, and on the third
     # sweep sigma_1 / theta still passes the guard; even so, from the
-    # third sweep on each ball step runs the SVD formula alone.
+    # third sweep on each ball step runs the SVD formula alone. The second
+    # sweep reads eigvalsh first, then the eigh its shrink needs.
     obs, reg = binding_instance(0, *shape)
     u0 = init_matrix(obs, reg)
     counts = count_decompositions(monkeypatch)
     sweeps, step = [], projections._ball_step
 
     def recorded_step(u, radius, *args, **kwargs):
-        eighs = counts["eigh"]
+        before = counts["eigh"], counts["eigvalsh"]
         out = step(u, radius, *args, **kwargs)
-        sweeps.append((counts["eigh"] - eighs, not np.array_equal(out[0], u)))
+        sweeps.append((counts["eigh"] - before[0], counts["eigvalsh"] - before[1],
+                       not np.array_equal(out[0], u)))
         return out
 
     monkeypatch.setattr(projections, "_ball_step", recorded_step)
     rep = alternating_projection(u0, reg, tol=1e-6)
     assert len(sweeps) == rep.iterations > 3
-    assert sweeps == [(1, True), (1, True)] + [(0, True)] * (rep.iterations - 2)
+    assert sweeps == ([(1, 0, True), (1, 1, True)]
+                      + [(0, 0, True)] * (rep.iterations - 2))
