@@ -17,7 +17,6 @@ from .likelihood import (
     hellinger_sq,
     hellinger_sq_matrix,
     kl,
-    kl_matrix,
     lipschitz_constant,
     neg_log_likelihood,
 )
@@ -40,7 +39,6 @@ from .solvers import (
 from .bounds import (
     BoundConstants,
     BoundReport,
-    bound_gap,
     lower_bound,
     poisson_tail_threshold,
     tail_bound,
@@ -60,7 +58,6 @@ from .synth import (
 from .imaging import (
     ImageRecovery,
     PatchLayout,
-    mask_overlay,
     patchify,
     read_image,
     recover_image,

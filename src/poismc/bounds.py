@@ -18,7 +18,7 @@ a :class:`BoundReport` is valid exactly when that list is empty.
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidRegime, NonPositiveParameter
+from .errors import NonPositiveParameter
 
 E_SQ_MINUS_2 = math.e**2 - 2.0
 E_SQ_MINUS_3 = math.e**2 - 3.0
@@ -146,24 +146,6 @@ def _lower(region, m, k):
          f"bound {value:.6g} does not exceed r*alpha**2/min(d1,d2)={floor:.6g}"),
     ]
     return value, regime, [reason for fails, reason in failed if fails]
-
-
-def bound_gap(region, m, constants=BoundConstants(), require_valid=True):
-    """Ratio of the upper bound to the lower bound.
-
-    With ``require_valid`` (the default) both bounds must be valid,
-    otherwise :class:`InvalidRegime` is raised. Pass
-    ``require_valid=False`` for diagnostic scaling probes at parameter
-    points where the lower bound's applicability gate fails.
-    """
-    ub = upper_bound(region, m, constants)
-    lb = lower_bound(region, m, constants)
-    for name, rep in (("upper", ub), ("lower", lb)):
-        if require_valid and not rep.valid:
-            raise InvalidRegime(f"{name} bound invalid: {rep.reason}")
-    if not (math.isfinite(ub.value) and math.isfinite(lb.value)) or lb.value <= 0:
-        raise InvalidRegime("bound values are not computable here")
-    return ub.value / lb.value
 
 
 def poisson_tail_threshold(alpha):

@@ -10,9 +10,12 @@ Every file-writing command drops a ``manifest.json`` next to its
 outputs; re-running through the manifest reproduces the artifacts.
 All randomness flows from ``--seed``.
 
-Every input file is read before the output directory is made, so
-``complete --truth`` is read and checked against ``(d1, d2)`` before the
-solve.
+``--out`` is made in one place, ``_write_outputs``, just before the
+first file is written: after every input file is read (so ``complete
+--truth`` is read and checked against ``(d1, d2)`` before the solve),
+every value is checked and the solve has run. So every validation
+error exits 2, and every unreadable input exits 1, before ``--out``
+exists.
 
 Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
 does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
@@ -71,17 +74,21 @@ def _fail(message, code):
     return code
 
 
-def _write_outputs(args, argv, outputs, report=None):
-    """Write ``manifest.json`` listing ``outputs``, after ``report.json`` if given.
+def _write_outputs(args, argv, files, report=None):
+    """Make ``--out`` and write ``files``, ``report.json`` if given, and the manifest.
 
-    The run's identity, its ``--out``, command and ``--seed``, comes from
-    ``args``. ``report`` is the body of ``report.json``; ``schema_version``
-    and ``command`` are filled in here.
+    ``files`` maps a file name to ``(writer, value)``, written as
+    ``writer(value, path)``. The run's identity, its ``--out``, command
+    and ``--seed``, comes from ``args``. ``report`` is the body of
+    ``report.json``; ``schema_version`` and ``command`` are filled in
+    here. ``manifest.json`` lists every file but itself.
     """
     if report is not None:
         report = {"schema_version": SCHEMA_VERSION, "command": args.command, **report}
-        write_json(report, os.path.join(args.out, "report.json"))
-        outputs = [*outputs, "report.json"]
+        files = {**files, "report.json": (write_json, report)}
+    out = make_dir(args.out)
+    for name, (write, value) in files.items():
+        write(value, os.path.join(out, name))
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "poismc",
@@ -89,9 +96,9 @@ def _write_outputs(args, argv, outputs, report=None):
         "command": args.command,
         "argv": list(argv),
         "seed": args.seed,
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
     }
-    write_json(manifest, os.path.join(args.out, "manifest.json"))
+    write_json(manifest, os.path.join(out, "manifest.json"))
 
 
 @contextlib.contextmanager
@@ -99,15 +106,15 @@ def _keep_failed_report(args, argv):
     """On an error that carries a solver report, write it before re-raising.
 
     The report, the last good iterate's, goes to ``report.json`` under
-    ``"solver"``, with a manifest that lists it; ``main`` then exits 3.
-    Only a solve raises such an error, and every command that solves has
-    made its ``--out`` first.
+    ``"solver"``, with a manifest that lists it, through ``_write_outputs``,
+    which makes ``--out``; ``main`` then exits 3. Only a solve raises
+    such an error.
     """
     try:
         yield
     except PoismcError as exc:
         if exc.report is not None:
-            _write_outputs(args, argv, [], {"solver": exc.report.to_json_dict()})
+            _write_outputs(args, argv, {}, {"solver": exc.report.to_json_dict()})
         raise
 
 
@@ -131,13 +138,11 @@ def cmd_simulate(args, argv):
     if not 0 < args.m <= args.d1 * args.d2:
         return _fail(f"--m must be in (0, d1*d2]={args.d1 * args.d2}, got {args.m}",
                      EXIT_VALIDATION)
-    out = make_dir(args.out)
     truth = make_low_rank(SynthesisSpec(region=region, mask_m=args.m, seed=args.seed))
     obs = observe(truth, args.m, args.seed)
-    write_matrix_csv(truth, os.path.join(out, "truth.csv"))
-    write_observations_csv(obs, os.path.join(out, "observations.csv"))
-    _write_outputs(args, argv, ["truth.csv", "observations.csv"])
-    print(f"simulate: wrote {len(obs)} observations to {out}")
+    _write_outputs(args, argv, {"truth.csv": (write_matrix_csv, truth),
+                                "observations.csv": (write_observations_csv, obs)})
+    print(f"simulate: wrote {len(obs)} observations to {args.out}")
     return EXIT_OK
 
 
@@ -149,15 +154,14 @@ def cmd_complete(args, argv):
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     if args.truth is not None:
         truth = as_matrix(read_matrix_csv(args.truth), shape=region.shape)
-    out = make_dir(args.out)
     report = solve(obs, region, cfg)
-    write_matrix_csv(report.estimate, os.path.join(out, "estimate.csv"))
     payload = {"solver": report.to_json_dict()}
     if args.truth is not None:
         payload["mse"] = mse_per_entry(truth, report.estimate)
         if args.baseline:
             payload["baseline_mse"] = mse_per_entry(truth, region.midpoint())
-    _write_outputs(args, argv, ["estimate.csv"], payload)
+    _write_outputs(args, argv, {"estimate.csv": (write_matrix_csv, report.estimate)},
+                   payload)
     print(
         f"complete: {report.algorithm} ran {report.iterations_run} iterations "
         f"({report.termination}) in {report.wall_time:.3f}s"
@@ -207,10 +211,8 @@ def cmd_verify(args, argv):
         return _fail(f"--samples must be >= 1, got {args.samples}", EXIT_VALIDATION)
     # Only the box matters for these checks; shape and rank are fixed.
     region = FeasibleRegion(d1=16, d2=16, alpha=args.alpha, beta=args.beta, r=4)
-    out = make_dir(args.out)
     report = verify_lemmas(region, args.samples, args.seed)
-    write_json(report, os.path.join(out, "verify.json"))
-    _write_outputs(args, argv, ["verify.json"])
+    _write_outputs(args, argv, {"verify.json": (write_json, report)})
     deterministic_violations = (
         report["kl_quadratic"]["violations"]
         + report["hellinger_mse_floor"]["violations"]
@@ -228,7 +230,6 @@ def cmd_verify(args, argv):
 def cmd_demo_solar(args, argv):
     image = read_image(args.image if args.image else default_demo_image())
     cfg = _solver_config(args)
-    out = make_dir(args.out)
     rec = recover_image(
         image,
         args.p,
@@ -248,8 +249,6 @@ def cmd_demo_solar(args, argv):
         "observed.pgm": np.where(rec.mask, to_display(counts, rec.region), 0),
         "recovered.pgm": to_display(rec.estimate, rec.region),
     }
-    for name, view in views.items():
-        write_image(unpatchify(view, rec.layout), os.path.join(out, name))
     payload = {
         "p": args.p,
         "mse": rec.mse,
@@ -257,7 +256,9 @@ def cmd_demo_solar(args, argv):
         "wall_time_sec": rec.wall_time,
         "solver": rec.report.to_json_dict(),
     }
-    _write_outputs(args, argv, list(views), payload)
+    images = {name: (write_image, unpatchify(view, rec.layout))
+              for name, view in views.items()}
+    _write_outputs(args, argv, images, payload)
     print(
         f"demo-solar: p={args.p} mse={rec.mse:.4f} "
         f"baseline={rec.baseline_mse:.4f} wall={rec.wall_time:.3f}s"

@@ -154,6 +154,12 @@ class MembershipReport:
     in_nuclear_ball: bool
 
 
+def _check_positive_int(name, value):
+    """Raise ``ValueError`` unless ``value`` is an ``int`` or ``np.integer`` >= 1."""
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def as_matrix(x, shape=None):
     """Coerce ``x`` to a 2-D float array, optionally checking its shape."""
     a = np.asarray(x, dtype=float)

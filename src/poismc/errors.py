@@ -115,8 +115,3 @@ class CorruptFile(PoismcError):
 class IoFailure(PoismcError):
     """Underlying OS-level read or write failed."""
 
-
-# --- bounds ---------------------------------------------------------------------
-
-class InvalidRegime(PoismcError):
-    """A bound ratio was requested where a bound's hypotheses fail."""

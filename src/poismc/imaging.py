@@ -84,17 +84,6 @@ def unpatchify(m, layout):
     return blocks.reshape(layout.image_h, layout.image_w)
 
 
-def mask_overlay(image, mask, layout):
-    """Zero out the pixels whose matrix cells are unobserved."""
-    m = patchify(image, layout)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != m.shape:
-        raise ShapeMismatch(
-            f"mask {mask.shape} does not match patch matrix {m.shape}"
-        )
-    return unpatchify(np.where(mask, m, 0.0), layout)
-
-
 # --- PGM / CSV files ----------------------------------------------------------
 
 

@@ -117,13 +117,6 @@ def hellinger_sq(p, q):
     return _scalar_or_array(-2.0 * np.expm1(-z))
 
 
-def kl_matrix(p, q):
-    """Entrywise-average KL divergence between two positive matrices."""
-    p = as_matrix(p)
-    q = as_matrix(q, shape=p.shape)
-    return float(np.mean(kl(p, q)))
-
-
 def hellinger_sq_matrix(p, q):
     """Entrywise-average squared Hellinger distance."""
     p = as_matrix(p)

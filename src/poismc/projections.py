@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _svd, as_matrix
+from .core import _check_positive_int, _svd, as_matrix
 from .errors import BadRadius, BadTau, NoConvergence
 
 EPS = float(np.finfo(float).eps)
@@ -439,8 +439,7 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_positive_int("max_iter", max_iter)
     return _alternating_projection(as_matrix(u0, shape=region.shape), region,
                                    tol, max_iter)
 

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_positive_int
 from .errors import (BacktrackOverflow, NoConvergence, PoismcError,
                      ProjectionFailure, ShapeMismatch)
 from .likelihood import _sampled_gradient, _sampled_nll, lipschitz_constant
@@ -69,8 +70,8 @@ class SolverConfig:
     the fixed reciprocal step ``alpha/beta**2``. ``proj_tol`` bounds the
     feasibility gap of the alternating projection; gaps at or below the
     float64 noise floor ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
-    Construction raises ``ValueError`` on an unknown algorithm or a value
-    out of range.
+    Construction raises ``ValueError`` on an unknown algorithm, a value
+    out of range, or an iteration cap that is not an integer.
     """
 
     algorithm: str = "pmlsv"
@@ -84,8 +85,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        _check_positive_int("max_iter", self.max_iter)
         if not self.eta > 1.0:
             raise ValueError("eta must be > 1")
         if not self.lam >= 0.0:
@@ -94,8 +94,7 @@ class SolverConfig:
             raise ValueError("l0 must be > 0")
         if not self.proj_tol > 0.0:
             raise ValueError("proj_tol must be > 0")
-        if self.proj_max_iter < 1:
-            raise ValueError("proj_max_iter must be >= 1")
+        _check_positive_int("proj_max_iter", self.proj_max_iter)
 
 
 @dataclass

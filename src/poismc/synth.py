@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import FeasibleRegion, ObservationSet, mse_per_entry
+from .core import FeasibleRegion, ObservationSet, _check_positive_int, mse_per_entry
 from .bounds import poisson_tail_threshold, tail_bound
 from .errors import (
     BadM,
@@ -183,8 +183,7 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
     """
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise BadM("m_list must be strictly increasing")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_positive_int("trials", trials)
     if csv_path is None:
         return _sweep_rows(spec, m_list, trials, cfg)
     with _opened(csv_path, "w", newline="") as fh:

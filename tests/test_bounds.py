@@ -6,13 +6,12 @@ import pytest
 from poismc import (
     BoundConstants,
     FeasibleRegion,
-    bound_gap,
     lower_bound,
     poisson_tail_threshold,
     tail_bound,
     upper_bound,
 )
-from poismc.errors import InvalidRegime, NonPositiveParameter
+from poismc.errors import NonPositiveParameter
 
 
 def region(d1=64, d2=64, alpha=9.0, beta=1.0, r=4):
@@ -214,32 +213,30 @@ def valid_gap_region():
     return FeasibleRegion(d1=2048, d2=2048, alpha=1.0, beta=0.5, r=4)
 
 
+def gap(reg, m, constants=BoundConstants()):
+    """The ratio ``poismc bounds`` reports, taken whether or not both bounds hold."""
+    return upper_bound(reg, m, constants).value / lower_bound(reg, m, constants).value
+
+
 def test_gap_at_least_one_on_valid_configuration():
-    assert bound_gap(valid_gap_region(), 100.0) >= 1.0
+    reg = valid_gap_region()
+    assert upper_bound(reg, 100.0).valid and lower_bound(reg, 100.0).valid
+    assert gap(reg, 100.0) >= 1.0
 
 
 def test_gap_doubles_with_c_prime():
     reg = valid_gap_region()
     k = BoundConstants()
     k2 = BoundConstants(c_prime=2 * k.c_prime, c1=k.c1, c2=k.c2, c0=k.c0)
-    assert bound_gap(reg, 100.0, k2) == pytest.approx(
-        2 * bound_gap(reg, 100.0, k), rel=1e-12
-    )
-
-
-def test_gap_requires_validity_by_default():
-    reg = FeasibleRegion(d1=64, d2=64, alpha=9.0, beta=1.0, r=3)
-    with pytest.raises(InvalidRegime):
-        bound_gap(reg, 5000.0)
+    assert gap(reg, 100.0, k2) == pytest.approx(2 * gap(reg, 100.0, k), rel=1e-12)
 
 
 def test_gap_scaling_probe_grows_like_log():
     # At m = r*(d1+d2)*log^2(d1*d2) the ratio tracks log(d1*d2); compare
-    # d=2048 against d=256 (validity gates skipped for the diagnostic).
+    # d=2048 against d=256 (a diagnostic: the lower bound's floor fails).
     def gap_at(d):
         reg = FeasibleRegion(d1=d, d2=d, alpha=1.0, beta=0.5, r=4)
-        m = 4 * (2 * d) * math.log(d * d) ** 2
-        return bound_gap(reg, m, require_valid=False)
+        return gap(reg, 4 * (2 * d) * math.log(d * d) ** 2)
 
     ratio = gap_at(2048) / gap_at(256)
     log_ratio = math.log(2048 * 2048) / math.log(256 * 256)

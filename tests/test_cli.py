@@ -17,6 +17,7 @@ from poismc.likelihood import _sampled_gradient
 from poismc.fileio import (
     read_json, read_matrix_csv, read_observations_csv, write_observations_csv,
 )
+from poismc.imaging import patchify, read_image, recover_image, to_display
 
 from test_solvers import binding_instance, fail_on_call
 
@@ -142,6 +143,17 @@ def test_complete_baseline_without_truth_exits_2_before_the_out_directory(
     assert run(*complete_args(sim / "observations.csv", out,
                               extra=("--baseline",))) == 2
     assert "--baseline requires --truth" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_complete_header_only_obs_exits_2_before_the_out_directory(tmp_path,
+                                                                   capsys):
+    # A header-only CSV is an empty sample set: the solve rejects it.
+    obs = tmp_path / "obs.csv"
+    obs.write_text("i,j,y\n")
+    out = tmp_path / "rec"
+    assert run(*complete_args(obs, out)) == 2
+    assert capsys.readouterr().err == "error: need at least one observation\n"
     assert not out.exists()
 
 
@@ -489,9 +501,40 @@ def test_malformed_input_exits_1_with_one_error_line(command, name, content,
     assert not out.exists()
 
 
-def test_demo_rejects_bad_fraction(tmp_path):
-    rc = run("demo-solar", "--p", "1.5", "--out", str(tmp_path / "d"))
-    assert rc == 2
+def test_demo_rejects_bad_fraction(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run("demo-solar", "--p", "1.5", "--out", str(out)) == 2
+    assert "p must be in (0, 1], got 1.5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--patch", "5"), "5x5 patches do not tile a 48x48 image"),
+    (("--alpha", "0.5"), "need 0 < beta <= alpha"),
+], ids=["patch", "alpha"])
+def test_demo_bad_layout_or_box_exits_2_before_the_out_directory(
+        flags, message, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert run("demo-solar", *flags, "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_demo_observed_view_is_dark_exactly_where_unobserved(tmp_path):
+    # observed.pgm holds the displayed count at every sampled cell and 0 at
+    # every other, whatever the count displays as.
+    out = tmp_path / "demo"
+    assert run("demo-solar", "--p", "0.5", "--iters", "5", "--seed", "5",
+               "--out", str(out)) == 0
+    rec = recover_image(read_image(default_demo_image()), 0.5,
+                        SolverConfig(max_iter=5), seed=5)
+    obs = rec.observations
+    counts = np.zeros(rec.truth.shape)
+    counts[obs.rows, obs.cols] = obs.counts
+    observed = patchify(read_image(out / "observed.pgm"), rec.layout)
+    assert 0 < rec.mask.sum() < rec.mask.size
+    assert np.all(observed[~rec.mask] == 0)
+    assert np.array_equal(observed[rec.mask], to_display(counts, rec.region)[rec.mask])
 
 
 # --- output directory ----------------------------------------------------------------

@@ -5,7 +5,6 @@ from poismc import (
     FeasibleRegion,
     PatchLayout,
     SolverConfig,
-    mask_overlay,
     patchify,
     read_image,
     recover_image,
@@ -16,7 +15,6 @@ from poismc.errors import (
     CorruptFile,
     IndivisibleLayout,
     IoFailure,
-    ShapeMismatch,
     UnsupportedFormat,
 )
 from poismc.imaging import to_display
@@ -97,40 +95,6 @@ def test_patchify_linear():
     lhs = patchify(2.5 * x - 1.5 * y, layout)
     rhs = 2.5 * patchify(x, layout) - 1.5 * patchify(y, layout)
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-# --- overlay ------------------------------------------------------------------
-
-
-def test_overlay_full_mask_identity():
-    layout = PatchLayout(image_h=4, image_w=4, patch_h=2, patch_w=2)
-    img = np.arange(16, dtype=float).reshape(4, 4)
-    mask = np.ones(layout.matrix_shape, dtype=bool)
-    assert np.array_equal(mask_overlay(img, mask, layout), img)
-
-
-def test_overlay_empty_mask_zero():
-    layout = PatchLayout(image_h=4, image_w=4, patch_h=2, patch_w=2)
-    img = np.arange(16, dtype=float).reshape(4, 4) + 1
-    mask = np.zeros(layout.matrix_shape, dtype=bool)
-    assert np.all(mask_overlay(img, mask, layout) == 0.0)
-
-
-def test_overlay_positions():
-    layout = PatchLayout(image_h=4, image_w=4, patch_h=2, patch_w=2)
-    img = np.ones((4, 4))
-    rng = np.random.default_rng(7)
-    mask = rng.random(layout.matrix_shape) < 0.5
-    out = mask_overlay(img, mask, layout)
-    # zeroed pixels are exactly the unobserved matrix cells mapped to pixels
-    back = patchify(out, layout)
-    assert np.array_equal(back == 0.0, ~mask)
-
-
-def test_overlay_shape_mismatch():
-    layout = PatchLayout(image_h=4, image_w=4, patch_h=2, patch_w=2)
-    with pytest.raises(ShapeMismatch):
-        mask_overlay(np.ones((4, 4)), np.ones((3, 3), dtype=bool), layout)
 
 
 # --- PGM / CSV ------------------------------------------------------------------

@@ -32,11 +32,13 @@ from poismc import (
     solve_pg,
     solve_pmlsv,
     svt,
+    sweep_m,
 )
 from poismc.errors import (
     BacktrackOverflow,
     NoConvergence,
     NonPositiveEntryAtObservation,
+    PoismcError,
     ProjectionFailure,
     ShapeMismatch,
     SvdFailure,
@@ -554,17 +556,19 @@ def same_bits(a, b):
 
 
 @st.composite
-def sampled_instances(draw):
+def sampled_instances(draw, d_max=8, betas=(0.1, 3.0), ratios=(1.0, 10.0),
+                      rate_max=1.0):
     """A region, observations on 1..d1*d2 cells in a random stored order,
-    and a box point ``m``."""
-    d1, d2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    beta = draw(st.floats(0.1, 3.0))
-    alpha = beta * draw(st.floats(1.0, 10.0))
+    and a box point ``m``. Shapes run to ``d_max``, beta over ``betas``,
+    alpha/beta over ``ratios``, and Poisson rates up to ``rate_max * alpha``."""
+    d1, d2 = draw(st.integers(1, d_max)), draw(st.integers(1, d_max))
+    beta = draw(st.floats(*betas))
+    alpha = beta * draw(st.floats(*ratios))
     reg = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta,
                          r=draw(st.integers(1, min(d1, d2))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cells = rng.permutation(d1 * d2)[:draw(st.integers(1, d1 * d2))]
-    counts = rng.poisson(rng.uniform(beta, alpha, cells.size))
+    counts = rng.poisson(rng.uniform(beta, rate_max * alpha, cells.size))
     obs = ObservationSet(d1=d1, d2=d2, rows=cells // d2, cols=cells % d2,
                          counts=counts)
     return obs, reg, rng.uniform(beta, alpha, (d1, d2))
@@ -826,6 +830,25 @@ def test_config_validation():
         SolverConfig(proj_tol=0.0)
 
 
+CAP_REGION = FeasibleRegion(d1=6, d2=6, alpha=9.0, beta=1.0, r=2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda cap: SolverConfig(max_iter=cap),
+    lambda cap: SolverConfig(algorithm="pg", proj_max_iter=cap),
+    lambda cap: alternating_projection(np.full((6, 6), 5.0), CAP_REGION, 1e-6, cap),
+    lambda cap: sweep_m(SynthesisSpec(region=CAP_REGION, mask_m=18.0, seed=0),
+                        [18.0], cap, SolverConfig(algorithm="pg", max_iter=2)),
+], ids=["max_iter", "proj_max_iter", "alternating_projection", "sweep_m-trials"])
+def test_iteration_caps_must_be_integers(make):
+    # Each cap is checked where it enters, before a loop calls range() on it.
+    for bad in (2.5, 2.0, np.float64(3.0), "3", 0, np.int64(-1)):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            make(bad)
+    make(np.int64(2))
+    make(2)
+
+
 def test_solver_runs_are_deterministic():
     obs, reg = binding_instance(2)
     cfg = SolverConfig(algorithm="apg", max_iter=30)
@@ -833,3 +856,49 @@ def test_solver_runs_are_deterministic():
     r2 = solve(obs, reg, cfg)
     assert np.array_equal(r1.estimate, r2.estimate)
     assert np.array_equal(r1.objective_trace, r2.objective_trace)
+
+
+# --- the solve contract -------------------------------------------------------------
+
+
+@st.composite
+def contract_cases(draw, algorithm):
+    """Shapes 1..24 and rates up to twice alpha (so counts above alpha
+    occur), with any lam and caps."""
+    obs, reg, _ = draw(sampled_instances(d_max=24, betas=(1e-4, 1.0),
+                                         ratios=(1.1, 1000.0), rate_max=2.0))
+    cfg = SolverConfig(
+        algorithm=algorithm,
+        max_iter=draw(st.integers(1, 79)),
+        lam=10.0 ** draw(st.floats(-3.0, 2.0)),
+        proj_max_iter=draw(st.integers(1, 49)),
+    )
+    return obs, reg, cfg
+
+
+def contract_run(obs, reg, cfg):
+    """``(report, error type)`` of one solve; the type is None on a return."""
+    try:
+        return solve(obs, reg, cfg), None
+    except PoismcError as exc:
+        assert exc.report is not None, exc
+        assert exc.report.termination == type(exc).__name__
+        return exc.report, type(exc)
+
+
+@pytest.mark.parametrize("algorithm", solvers_mod.ALGORITHMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_run_returns_a_box_estimate_or_raises_with_one(algorithm, data):
+    obs, reg, cfg = data.draw(contract_cases(algorithm))
+    rep, error = contract_run(obs, reg, cfg)
+    if error is None:
+        assert rep.termination in ("MaxIter", "QGapSmall")
+    est = rep.estimate
+    assert est.shape == reg.shape and np.all(np.isfinite(est))
+    assert reg.beta <= est.min() and est.max() <= reg.alpha
+    assert np.all(np.isfinite(rep.objective_trace))
+    again, error_again = contract_run(obs, reg, cfg)
+    assert error_again is error and again.termination == rep.termination
+    assert same_bits(again.estimate, est)
+    assert same_bits(again.objective_trace, rep.objective_trace)
