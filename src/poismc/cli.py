@@ -125,9 +125,18 @@ def _region_from_args(args):
 
 
 def _solver_config(args):
-    """``SolverConfig`` from the fields a command declares as flags."""
+    """``SolverConfig`` from the fields a command declares as flags.
+
+    A value out of range raises ``ValueError`` naming the flag, not the
+    field: the message starts with the field, which ``args.flags`` (set
+    by ``build_parser``) maps to the flag.
+    """
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    try:
+        return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{args.flags.get(field, field)} {rest}") from None
 
 
 # --- subcommands -----------------------------------------------------------
@@ -308,7 +317,7 @@ def build_parser():
         p.add_argument("--l0", type=float, default=defaults.l0,
                        help="initial reciprocal step size (pmlsv)")
         p.add_argument("--eta", type=float, default=defaults.eta,
-                       help="backtracking factor (pmlsv)")
+                       help="backtracking factor")
 
     p = sub.add_parser("simulate", help="synthesize truth and observations")
     add_region(p)
@@ -369,6 +378,9 @@ def build_parser():
     p = sub.add_parser("rerun", help="re-execute a command from its manifest")
     p.add_argument("manifest", help="manifest.json written by a previous run")
     p.add_argument("--out", default=None, help="redirect outputs")
+    for command in sub.choices.values():
+        command.set_defaults(flags={a.dest: a.option_strings[0]
+                                    for a in command._actions if a.option_strings})
     return parser
 
 

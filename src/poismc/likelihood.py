@@ -76,11 +76,12 @@ def _sampled_gradient(vals, counts):
 
 
 def lipschitz_constant(region):
-    """Fixed reciprocal step ``alpha / beta**2`` of the pg and apg solvers.
+    """``alpha / beta**2``, the first rung of the pg and apg step search.
 
     The curvature at a sampled cell is ``y / x**2``, so on the region's box
     this is a Lipschitz constant of :func:`gradient` only when every count
-    ``y`` is at most alpha.
+    ``y`` is at most alpha. Above that the search climbs from it (see
+    ``solvers``).
     """
     return region.alpha / region.beta**2
 

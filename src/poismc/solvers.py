@@ -2,28 +2,30 @@
 
 Three schemes, all starting from the count-seeded initializer:
 
-* ``pg``     projected gradient at fixed step 1/L, L = alpha/beta**2,
-  feasibility via alternating projection onto box-and-ball; the
-  ``projections`` module docstring says which decomposition each ball
-  step takes;
+* ``pg``     projected gradient, feasibility via alternating projection
+  onto box-and-ball; the ``projections`` module docstring says which
+  decomposition each ball step takes;
 * ``apg``    the same step with Nesterov momentum (k-1)/(k+2);
-* ``pmlsv``  nuclear-norm regularized singular-value shrinkage with
-  box projection and backtracking on the reciprocal step size L over
-  the ladder ``L, L*eta, L*eta**2, ...``. The accepted rung is found by
-  galloping (rungs 1, 2, 4, ...) and bisection. A step is accepted when
-  ``f - Q <= 0``, computed without subtracting two values of f (the
-  stable test of TFOCS, Becker, Candes & Grant 2011), so rounding noise
-  near the optimum does not reject steps and push L up.
-  The shrinkage (``projections._svt``) takes one symmetric
+* ``pmlsv``  nuclear-norm regularized singular-value shrinkage with box
+  projection. The shrinkage (``projections._svt``) takes one symmetric
   eigendecomposition of the Gram matrix per trial, not an SVD, where
   that is accurate (see ``projections``).
 
-All three run one proximal-gradient loop (``_proximal_gradient``). The
-schemes differ in the momentum (apg's, or none), the prox step
-(alternating projection at the fixed 1/L, or shrinkage and clipping at
-a backtracked L) and pmlsv's ``QGapSmall`` exit; pg is apg with zero
-momentum. alpha/beta**2 bounds the curvature of the objective on the
-box only when every count is at most alpha (see ``lipschitz_constant``).
+All three run one proximal-gradient loop (``_proximal_gradient``), and
+every step of every scheme backtracks on the reciprocal step size L
+over the ladder ``L, L*eta, L*eta**2, ...`` (``_backtrack``). The
+accepted rung is found by galloping (rungs 1, 2, 4, ...) and bisection.
+A step is accepted when ``f - Q <= 0``, computed without subtracting
+two values of f (the stable test of TFOCS, Becker, Candes & Grant
+2011), so rounding noise near the optimum does not reject steps and
+push L up. The accepted L carries over, so L never decreases (as in
+FISTA with backtracking, Beck & Teboulle 2009). The schemes differ in
+the momentum (apg's, or none), the prox step (``_prox``: alternating
+projection, or shrinkage and clipping), the first rung and pmlsv's
+``QGapSmall`` exit; pg is apg with zero momentum. pg and apg's first
+rung is alpha/beta**2, which bounds the curvature of the objective on
+the box only when every count is at most alpha (see
+``lipschitz_constant``); above that, the search climbs.
 
 The loop steps on the sample set omega only. The gradient is zero
 off omega, and there ``z - 0.0 / L`` is ``z`` itself, so writing
@@ -66,10 +68,12 @@ BACKTRACK_L_CAP = 1e15
 class SolverConfig:
     """Algorithm selection plus hyperparameters.
 
-    ``lam``, ``l0`` and ``eta`` only drive ``pmlsv``; ``pg``/``apg`` use
-    the fixed reciprocal step ``alpha/beta**2``. ``proj_tol`` bounds the
-    feasibility gap of the alternating projection; gaps at or below the
-    float64 noise floor ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
+    ``eta`` is the backtracking factor of all three algorithms. ``lam``
+    and ``l0`` only drive ``pmlsv``; ``pg``/``apg`` start the step search
+    at ``alpha/beta**2``. ``proj_tol`` and ``proj_max_iter`` drive the
+    alternating projection of ``pg``/``apg``; ``proj_tol`` bounds its
+    feasibility gap, and gaps at or below the float64 noise floor
+    ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
     Construction raises ``ValueError`` on an unknown algorithm, a value
     out of range, or an iteration cap that is not an integer.
     """
@@ -86,14 +90,12 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}")
         _check_positive_int("max_iter", self.max_iter)
-        if not self.eta > 1.0:
-            raise ValueError("eta must be > 1")
-        if not self.lam >= 0.0:
-            raise ValueError("lam must be >= 0")
-        if not self.l0 > 0.0:
-            raise ValueError("l0 must be > 0")
-        if not self.proj_tol > 0.0:
-            raise ValueError("proj_tol must be > 0")
+        for name, ok, rule in (("eta", self.eta > 1.0, "> 1"),
+                               ("lam", self.lam >= 0.0, ">= 0"),
+                               ("l0", self.l0 > 0.0, "> 0"),
+                               ("proj_tol", self.proj_tol > 0.0, "> 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         _check_positive_int("proj_max_iter", self.proj_max_iter)
 
 
@@ -102,10 +104,13 @@ class SolverReport:
     """Estimate plus run diagnostics.
 
     ``objective_trace[k-1]`` is the objective at iterate k;
-    ``final_l`` is the last reciprocal step size (fixed for pg/apg);
+    ``final_l`` is the last accepted reciprocal step size;
     ``box_active_fraction`` reports how much of the final estimate sits
-    on a box bound; ``majorization_gaps`` (pmlsv only) holds
-    ``f(M_k) - Q(M_k, M_{k-1})`` for every accepted step.
+    on a box bound; ``majorization_gaps`` holds the gap
+    ``f(M_k) - Q(M_k, Z_{k-1})`` of every accepted step, where ``Z`` is
+    the point the gradient was taken at (``M_{k-1}`` but for apg), so it
+    has one entry per iteration, each ``<= 0``. Both fields mean the
+    same for every algorithm.
     """
 
     algorithm: str
@@ -115,8 +120,8 @@ class SolverReport:
     termination: str
     wall_time: float
     final_l: float
-    box_active_fraction: float = 0.0
-    majorization_gaps: np.ndarray | None = None
+    box_active_fraction: float
+    majorization_gaps: np.ndarray
 
     def to_json_dict(self):
         return {
@@ -156,7 +161,7 @@ def _finish(algorithm, m, trace, termination, t_start, final_l, region, gaps):
         wall_time=time.perf_counter() - t_start,
         final_l=final_l,
         box_active_fraction=float(np.mean((m <= region.beta) | (m >= region.alpha))),
-        majorization_gaps=None if gaps is None else np.asarray(gaps),
+        majorization_gaps=np.asarray(gaps),
     )
 
 
@@ -186,24 +191,44 @@ def _gradient_step(z, zs, gs, l, flat):
     return w
 
 
-def _shrink_trial(l, m, x, gs, lam, region, flat, y):
-    """One pmlsv trial at reciprocal step size ``l``: ``(m_next, x_next, gap)``.
+def _trial(l, z, zs, gs, prox, flat, y):
+    """One trial at reciprocal step size ``l``: ``(m_next, x_next, gap)``.
 
-    ``m_next = project_box(svt(m - gradient(m, obs) / l, lam / l), region)``
-    bit for bit, from ``m``'s sampled entries ``x`` and the gradient
-    ``gs`` there; ``x_next`` is ``m_next`` at the sampled cells ``flat``.
-    ``gap = f(m_next) - Q(m_next, m)`` is computed as the likelihood's
-    Bregman term ``sum(y * (r - log1p(r)))``, ``r = (x_next - x) / x``,
-    minus ``(l/2) * ||m_next - m||_F**2``, so no two values of f cancel.
+    ``m_next = prox(z - gradient(z, obs) / l, l)`` bit for bit, from
+    ``z``'s sampled entries ``zs`` and the gradient ``gs`` there;
+    ``x_next`` is ``m_next`` at the sampled cells ``flat``.
+    ``gap = f(m_next) - Q(m_next, z)`` is computed as the likelihood's
+    Bregman term ``sum(y * (r - log1p(r)))``, ``r = (x_next - zs) / zs``,
+    minus ``(l/2) * ||m_next - z||_F**2``, so no two values of f cancel.
     The step is rejected when ``gap > 0``.
     """
-    m_next = _svt(_gradient_step(m, x, gs, l, flat), lam / l)
-    np.clip(m_next, region.beta, region.alpha, out=m_next)
+    m_next = prox(_gradient_step(z, zs, gs, l, flat), l)
     x_next = m_next.ravel().take(flat)
-    r = (x_next - x) / x
-    diff = m_next - m
+    r = (x_next - zs) / zs
+    diff = m_next - z
     bregman = float(np.sum(y * (r - np.log1p(r))))
     return m_next, x_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
+
+
+def _prox(algorithm, cfg, region):
+    """The prox step of ``algorithm`` as ``prox(w, l)``.
+
+    pmlsv shrinks singular values by ``lam / l`` and clips to the box;
+    pg and apg take the alternating projection onto box and ball, which
+    gives a feasible point, not the metric projection onto their
+    intersection. So an accepted step certifies the quadratic upper
+    bound, not the textbook rate of FISTA.
+    """
+    if algorithm == "pmlsv":
+        def shrink(w, l):
+            # Clipped in place: a second matrix per trial made the allocator
+            # return pages and fault them in again (+12% on pmlsv-d200).
+            m_next = _svt(w, cfg.lam / l)
+            return np.clip(m_next, region.beta, region.alpha, out=m_next)
+        return shrink
+    return lambda w, l: _alternating_projection(
+        w, region, cfg.proj_tol, cfg.proj_max_iter
+    ).result
 
 
 def _climb(l, steps, eta):
@@ -223,7 +248,7 @@ def _climb(l, steps, eta):
 def _backtrack(l, ctx, eta):
     """An accepted rung of ``l, l*eta, l*eta**2, ...``: ``(l, trial)``.
 
-    ``ctx`` holds the arguments of ``_shrink_trial`` after ``l``. Probes
+    ``ctx`` holds the arguments of ``_trial`` after ``l``. Probes
     rung 0, then gallops through rungs 1, 2, 4, ... and bisects between
     the last rejected and the first accepted probe, so no trial runs
     twice. The returned rung is accepted, and it is rung 0 or the rung
@@ -232,7 +257,7 @@ def _backtrack(l, ctx, eta):
     finds. Raises ``BacktrackOverflow`` once the last rung at or below
     ``BACKTRACK_L_CAP`` rejects.
     """
-    trial = _shrink_trial(l, *ctx)
+    trial = _trial(l, *ctx)
     if not trial[2] > 0.0:
         return l, trial
     lo, l_lo, hi = 0, l, None
@@ -243,7 +268,7 @@ def _backtrack(l, ctx, eta):
             raise BacktrackOverflow(
                 f"reciprocal step size exceeded {BACKTRACK_L_CAP:.0e}"
             )
-        probe = _shrink_trial(l_try, *ctx)
+        probe = _trial(l_try, *ctx)
         if probe[2] > 0.0:
             lo, l_lo = lo + n, l_try
         else:
@@ -255,8 +280,9 @@ def _proximal_gradient(algorithm, obs, region, cfg):
     """The loop of all three schemes, from ``z = M_0``.
 
     Each iteration gathers ``z`` on the sampled cells once, evaluates the
-    gradient there and takes the prox step: pg and apg project the
-    gradient step at 1/L, pmlsv runs ``_backtrack``. apg then sets
+    gradient there and runs ``_backtrack`` with the scheme's prox
+    (``_prox``). pg and apg start the ladder at ``lipschitz_constant``,
+    pmlsv at ``l0``; the accepted L carries over. apg then sets
     ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, which can leave the box
     (the gradient's positivity check catches that), the others
     ``z = M_k``. A ``PoismcError`` leaves with the report of the last
@@ -265,9 +291,10 @@ def _proximal_gradient(algorithm, obs, region, cfg):
     t_start, m, flat, y = _start(obs, region)
     pmlsv, accelerate = algorithm == "pmlsv", algorithm == "apg"
     l = cfg.l0 if pmlsv else lipschitz_constant(region)
+    prox = _prox(algorithm, cfg, region)
     z = m_prev = m
     x = m.ravel().take(flat)
-    trace, gaps = [], [] if pmlsv else None
+    trace, gaps = [], []
     termination = "MaxIter"
     try:
         for k in range(1, cfg.max_iter + 1):
@@ -276,16 +303,8 @@ def _proximal_gradient(algorithm, obs, region, cfg):
             gs = _sampled_gradient(zs, y)
             # m, x and l change only once a step succeeds, so a failing
             # step leaves the last good iterate in m.
-            if pmlsv:
-                ctx = (z, zs, gs, cfg.lam, region, flat, y)
-                l, (m, x, gap) = _backtrack(l, ctx, cfg.eta)
-                gaps.append(gap)
-            else:
-                w = _gradient_step(z, zs, gs, l, flat)
-                m = _alternating_projection(
-                    w, region, cfg.proj_tol, cfg.proj_max_iter
-                ).result
-                x = m.ravel().take(flat)
+            l, (m, x, gap) = _backtrack(l, (z, zs, gs, prox, flat, y), cfg.eta)
+            gaps.append(gap)
             z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
             m_prev = m
             trace.append(_sampled_nll(x, y))
@@ -303,12 +322,23 @@ def _proximal_gradient(algorithm, obs, region, cfg):
 
 
 def solve_pg(obs, region, cfg):
-    """Projected gradient descent at fixed step 1/L."""
+    """Projected gradient descent with backtracking.
+
+    Each iteration takes a gradient step at reciprocal step size L and
+    projects onto box and ball, and accepts a rung of ``L, L*eta, ...``
+    whose step is majorized by the quadratic model (``_backtrack``). The
+    search starts at ``lipschitz_constant(region)``; the accepted L
+    carries over to the next iteration.
+    """
     return _proximal_gradient("pg", obs, region, cfg)
 
 
 def solve_apg(obs, region, cfg):
-    """Accelerated projected gradient with (k-1)/(k+2) momentum."""
+    """Accelerated projected gradient with (k-1)/(k+2) momentum.
+
+    The step is pg's, with its step search, taken from the extrapolated
+    point (see ``solve_pg``).
+    """
     return _proximal_gradient("apg", obs, region, cfg)
 
 

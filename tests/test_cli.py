@@ -131,7 +131,27 @@ def test_complete_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
     rc = run(*complete_args(sim / "observations.csv", out, algo="pmlsv",
                             extra=("--iters", "20", "--lambda", "nan")))
     assert rc == 2
-    assert "lam must be >= 0" in capsys.readouterr().err
+    assert "--lambda must be >= 0, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iters", "0", "--iters must be an integer >= 1, got 0"),
+    ("--lambda", "-1", "--lambda must be >= 0, got -1.0"),
+    ("--l0", "0", "--l0 must be > 0, got 0.0"),
+    ("--eta", "1", "--eta must be > 1, got 1.0"),
+    ("--proj-tol", "0", "--proj-tol must be > 0, got 0.0"),
+    ("--proj-max-iter", "0", "--proj-max-iter must be an integer >= 1, got 0"),
+])
+def test_bad_solver_flag_is_named_and_exits_2_before_the_out_directory(
+        tmp_path, capsys, flag, value, message):
+    # SolverConfig names its fields; the CLI names the flag the user typed.
+    sim = tmp_path / "sim"
+    assert run(*simulate_args(sim)) == 0
+    capsys.readouterr()
+    out = tmp_path / "rec"
+    assert run(*complete_args(sim / "observations.csv", out, extra=(flag, value))) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -466,7 +486,7 @@ def test_demo_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
 def test_demo_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
     out = tmp_path / "demo"
     assert run("demo-solar", "--lambda", "nan", "--out", str(out)) == 2
-    assert "lam must be >= 0" in capsys.readouterr().err
+    assert "--lambda must be >= 0, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 

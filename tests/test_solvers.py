@@ -293,23 +293,34 @@ def backtracking_instance():
     return obs, reg, cfg
 
 
-def scan_trial(l, m, g, obs, reg, lam):
-    """Reference pmlsv trial: ``(m_next, f(m_next) - Q(m_next, m))``.
+def scan_prox(cfg, reg):
+    """The reference prox step of ``cfg.algorithm`` as ``prox(w, l)``.
+
+    It is built from the package's public operators, the solver's kernels
+    (``project_box(svt(w, lam / l))`` for pmlsv, ``alternating_projection``
+    for pg and apg), so the scan checks the search bit for bit.
+    """
+    if cfg.algorithm == "pmlsv":
+        return lambda w, l: project_box(svt(w, cfg.lam / l), reg)
+    return lambda w, l: alternating_projection(
+        w, reg, tol=cfg.proj_tol, max_iter=cfg.proj_max_iter).result
+
+
+def scan_trial(l, z, g, obs, prox):
+    """Reference trial from ``z``: ``(m_next, f(m_next) - Q(m_next, z))``.
 
     The gap is the likelihood's Bregman term on the sampled cells minus
-    ``(l/2) * ||m_next - m||_F**2``, the formula the solver uses. The
-    shrinkage is the package's ``svt``, the solver's kernel, so the scan
-    checks the search bit for bit.
+    ``(l/2) * ||m_next - z||_F**2``, the formula the solver uses.
     """
-    m_next = project_box(svt(m - g / l, lam / l), reg)
-    x = m[obs.rows, obs.cols]
+    m_next = prox(z - g / l, l)
+    x = z[obs.rows, obs.cols]
     r = (m_next[obs.rows, obs.cols] - x) / x
-    diff = m_next - m
+    diff = m_next - z
     bregman = float(np.sum(obs.counts * (r - np.log1p(r))))
     return m_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
 
 
-def scan_step(l, m, g, obs, reg, cfg):
+def scan_step(l, z, g, obs, prox, eta):
     """First accepted rung from ``l``, one rung at a time.
 
     Returns ``(l, m_next, gap, trials)``.
@@ -317,49 +328,64 @@ def scan_step(l, m, g, obs, reg, cfg):
     trials = 0
     while True:
         trials += 1
-        m_next, gap = scan_trial(l, m, g, obs, reg, cfg.lam)
+        m_next, gap = scan_trial(l, z, g, obs, prox)
         if not gap > 0.0:
             return l, m_next, gap, trials
-        l *= cfg.eta
+        l *= eta
         if l > solvers_mod.BACKTRACK_L_CAP:
             raise BacktrackOverflow("reference scan overflowed")
 
 
-def linear_scan_pmlsv(obs, reg, cfg):
-    """Plain pmlsv that raises L by one factor eta per rejected trial.
+def linear_scan(obs, reg, cfg):
+    """The solver loop of ``cfg.algorithm`` with the dense gradient, the
+    public operators and a search that raises L by one factor eta per
+    rejected trial, from ``l0`` for pmlsv and ``alpha/beta**2`` for pg
+    and apg.
 
-    Returns the report fields ``solve_pmlsv`` must reproduce wherever its
+    Returns the report fields ``solve`` must reproduce wherever its
     search accepts the scan's rung, plus the number of trials of each
-    iteration.
+    iteration. A run that fails keeps the last good iterate's fields, and
+    its termination is the name of the error ``solve`` raises.
     """
-    l = cfg.l0
-    m = init_matrix(obs, reg)
+    prox = scan_prox(cfg, reg)
+    l = cfg.l0 if cfg.algorithm == "pmlsv" else lipschitz_constant(reg)
+    m = z = init_matrix(obs, reg)
     trace, gaps, trials = [], [], []
     termination = "MaxIter"
-    for _ in range(cfg.max_iter):
-        l, m, gap, n = scan_step(l, m, gradient(m, obs), obs, reg, cfg)
-        trials.append(n)
-        trace.append(neg_log_likelihood(m, obs))
-        gaps.append(gap)
-        if abs(gap) < 0.5 / cfg.max_iter:
-            termination = "QGapSmall"
-            break
+    try:
+        for k in range(1, cfg.max_iter + 1):
+            m_prev = m
+            l, m, gap, n = scan_step(l, z, gradient(z, obs), obs, prox, cfg.eta)
+            z = m
+            if cfg.algorithm == "apg":
+                z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev)
+            trials.append(n)
+            trace.append(neg_log_likelihood(m, obs))
+            gaps.append(gap)
+            if cfg.algorithm == "pmlsv" and abs(gap) < 0.5 / cfg.max_iter:
+                termination = "QGapSmall"
+                break
+    except PoismcError as exc:
+        termination = type(exc).__name__
+        if isinstance(exc, NoConvergence):
+            termination = "ProjectionFailure"
     return dict(estimate=m, objective_trace=np.asarray(trace),
                 majorization_gaps=np.asarray(gaps), final_l=l,
                 iterations_run=len(trace), termination=termination, trials=trials)
 
 
-def recorded_pmlsv(obs, reg, cfg):
-    """Run ``solve_pmlsv`` and record every step search it makes.
+def recorded(obs, reg, cfg):
+    """Run ``solve`` and record every step search it makes.
 
-    Returns the report and, per iteration, a dict with the search's
-    starting rung ``l_in``, its iterate ``m``, the dense gradient ``g``
-    there, the returned rung ``l_out`` and ``probes``, the gap of every
-    probed rung. ``g`` is rebuilt with ``gradient``, so the reference scan
-    never sees the solver's sampled one.
+    Returns the report (an error's, if the run raised) and, per search, a
+    dict with its starting rung ``l_in``, the point ``z`` it steps from,
+    the dense gradient ``g`` there, the returned rung ``l_out`` (absent if
+    the search raised) and ``probes``, the gap of every probed rung. ``g``
+    is rebuilt with ``gradient``, so the reference scan never sees the
+    solver's sampled one.
     """
     steps = []
-    real_trial, real_backtrack = solvers_mod._shrink_trial, solvers_mod._backtrack
+    real_trial, real_backtrack = solvers_mod._trial, solvers_mod._backtrack
 
     def trial(l, *ctx):
         out = real_trial(l, *ctx)
@@ -367,16 +393,56 @@ def recorded_pmlsv(obs, reg, cfg):
         return out
 
     def backtrack(l, ctx, eta):
-        m = ctx[0]
-        steps.append(dict(l_in=l, m=m, g=gradient(m, obs), probes={}))
+        z = ctx[0]
+        steps.append(dict(l_in=l, z=z, g=gradient(z, obs), probes={}))
         steps[-1]["l_out"], out = real_backtrack(l, ctx, eta)
         return steps[-1]["l_out"], out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers_mod, "_shrink_trial", trial)
+        mp.setattr(solvers_mod, "_trial", trial)
         mp.setattr(solvers_mod, "_backtrack", backtrack)
-        rep = solve_pmlsv(obs, reg, cfg)
+        rep, _ = contract_run(obs, reg, cfg)
     return rep, steps
+
+
+def check_against_linear_scan(obs, reg, cfg):
+    """The search's contract, checked in every iteration from the solver's
+    own state, and the whole run checked against ``linear_scan`` bit for
+    bit wherever every search picked the scan's rung.
+
+    The returned rung is accepted and is rung 0 or sits just above a
+    probed, rejected rung. It is the scan's rung unless acceptance is not
+    monotone up to it, or a rung the one search probes and the other does
+    not raises. A search that raised agrees with a scan that raised.
+    """
+    rep, steps = recorded(obs, reg, cfg)
+    prox = scan_prox(cfg, reg)
+    agree = True
+    for step in steps:
+        try:
+            l_scan = scan_step(step["l_in"], step["z"], step["g"], obs, prox,
+                               cfg.eta)[0]
+        except PoismcError:
+            l_scan = None
+        if "l_out" not in step:
+            agree = agree and l_scan is None
+            continue
+        ladder = [step["l_in"]]
+        while ladder[-1] < step["l_out"]:
+            ladder.append(ladder[-1] * cfg.eta)
+        i = len(ladder) - 1
+        assert ladder[i] == step["l_out"]
+        assert not step["probes"][ladder[i]] > 0.0
+        assert i == 0 or step["probes"].get(ladder[i - 1], 0.0) > 0.0
+        assert l_scan is None or l_scan <= step["l_out"]
+        agree = agree and l_scan == step["l_out"]
+    if agree:
+        want = linear_scan(obs, reg, cfg)
+        for key in ("estimate", "objective_trace", "majorization_gaps"):
+            assert same_bits(getattr(rep, key), want[key]), key
+        assert rep.final_l == want["final_l"]
+        assert rep.iterations_run == want["iterations_run"]
+        assert rep.termination == want["termination"]
 
 
 def test_pmlsv_backtracking_raises_l_and_keeps_majorization():
@@ -426,31 +492,7 @@ def pmlsv_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(pmlsv_cases())
 def test_pmlsv_matches_linear_scan(case):
-    # The search's contract, checked in every iteration from the solver's
-    # own state: the returned rung is accepted and is rung 0 or sits just
-    # above a probed, rejected rung. It is the scan's rung unless
-    # acceptance is not monotone up to it.
-    obs, reg, cfg = case
-    rep, steps = recorded_pmlsv(obs, reg, cfg)
-    agree = True
-    for step in steps:
-        ladder = [step["l_in"]]
-        while ladder[-1] < step["l_out"]:
-            ladder.append(ladder[-1] * cfg.eta)
-        i = len(ladder) - 1
-        assert ladder[i] == step["l_out"]
-        assert not step["probes"][ladder[i]] > 0.0
-        assert i == 0 or step["probes"].get(ladder[i - 1], 0.0) > 0.0
-        l_scan = scan_step(step["l_in"], step["m"], step["g"], obs, reg, cfg)[0]
-        assert l_scan <= step["l_out"]
-        agree = agree and l_scan == step["l_out"]
-    if agree:
-        want = linear_scan_pmlsv(obs, reg, cfg)
-        for key in ("estimate", "objective_trace", "majorization_gaps"):
-            assert np.array_equal(getattr(rep, key), want[key]), key
-        assert rep.final_l == want["final_l"]
-        assert rep.iterations_run == want["iterations_run"]
-        assert rep.termination == want["termination"]
+    check_against_linear_scan(*case)
 
 
 def test_pmlsv_search_may_skip_an_isolated_accepted_rung():
@@ -461,20 +503,20 @@ def test_pmlsv_search_may_skip_an_isolated_accepted_rung():
     obs = full_obs([[0, 2], [0, 1]])
     reg = FeasibleRegion(d1=2, d2=2, alpha=1.265625, beta=1.125, r=1)
     cfg = SolverConfig(algorithm="pmlsv", max_iter=1, lam=1.0, l0=0.01, eta=2.0)
-    assert linear_scan_pmlsv(obs, reg, cfg)["final_l"] == 0.08
-    rep, steps = recorded_pmlsv(obs, reg, cfg)
+    assert linear_scan(obs, reg, cfg)["final_l"] == 0.08
+    rep, steps = recorded(obs, reg, cfg)
     assert rep.final_l == 2.56
     assert steps[0]["probes"][1.28] > 0.0
     assert not steps[0]["probes"][2.56] > 0.0
 
 
 def trial_ctx(m, lam, obs, reg):
-    """``_shrink_trial``'s arguments after ``l`` at ``m``, built from the
-    dense gradient rather than by the solver."""
+    """The arguments after ``l`` of a pmlsv ``_trial`` at ``m``, built
+    from the dense gradient rather than by the solver."""
     flat = obs.rows * obs.d2 + obs.cols
     gs = gradient(m, obs)[obs.rows, obs.cols]
-    return (m, m[obs.rows, obs.cols], gs, lam, reg, flat,
-            obs.counts.astype(float))
+    prox = solvers_mod._prox("pmlsv", SolverConfig(lam=lam), reg)
+    return (m, m[obs.rows, obs.cols], gs, prox, flat, obs.counts.astype(float))
 
 
 def test_shrink_trial_gap_is_f_minus_q():
@@ -482,7 +524,7 @@ def test_shrink_trial_gap_is_f_minus_q():
     m = init_matrix(obs, reg)
     ctx = trial_ctx(m, cfg.lam, obs, reg)
     for l in (1e-3, 0.1, 1.0, 9.0, 100.0):
-        m_next, x_next, gap = solvers_mod._shrink_trial(l, *ctx)
+        m_next, x_next, gap = solvers_mod._trial(l, *ctx)
         assert np.array_equal(x_next, m_next[obs.rows, obs.cols])
         f = neg_log_likelihood(m_next, obs)
         q = quadratic_model(m_next, m, l, obs)
@@ -506,7 +548,7 @@ def test_pmlsv_backtracking_keeps_l_bounded_at_a_converged_iterate():
 def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
     obs, reg, cfg = backtracking_instance()
     cfg = dataclasses.replace(cfg, max_iter=1)
-    k = linear_scan_pmlsv(obs, reg, cfg)["trials"][0] - 1
+    k = linear_scan(obs, reg, cfg)["trials"][0] - 1
     assert k >= 16
     svt_calls = []
     real_svt = solvers_mod._svt
@@ -520,14 +562,14 @@ def test_pmlsv_first_iteration_gallops_and_bisects(monkeypatch):
 def test_pmlsv_probes_gallop_to_the_cap_then_overflow(monkeypatch):
     obs, reg, cfg = backtracking_instance()
     probes = []
-    real_trial = solvers_mod._shrink_trial
+    real_trial = solvers_mod._trial
 
     def rejecting_trial(l, *ctx):
         probes.append(l)
         m_next, x_next, _ = real_trial(l, *ctx)
         return m_next, x_next, 1.0
 
-    monkeypatch.setattr(solvers_mod, "_shrink_trial", rejecting_trial)
+    monkeypatch.setattr(solvers_mod, "_trial", rejecting_trial)
     with pytest.raises(BacktrackOverflow):
         solve_pmlsv(obs, reg, cfg)
     ladder = [cfg.l0]
@@ -595,54 +637,37 @@ def test_shrink_trial_is_the_dense_trial_bit_for_bit(case, log_l, lam):
     l = 10.0 ** log_l
     _, _, flat, y = solvers_mod._start(obs, reg)
     x = m.ravel().take(flat)
-    ctx = (m, x, _sampled_gradient(x, y), lam, reg, flat, y)
-    m_next, x_next, _ = solvers_mod._shrink_trial(l, *ctx)
+    prox = solvers_mod._prox("pmlsv", SolverConfig(lam=lam), reg)
+    m_next, x_next, _ = solvers_mod._trial(l, m, x, _sampled_gradient(x, y),
+                                           prox, flat, y)
     want = project_box(svt(m - gradient(m, obs) / l, lam / l), reg)
     assert same_bits(m_next, want)
     assert same_bits(x_next, want[obs.rows, obs.cols])
-
-
-def dense_projected_gradient(obs, reg, cfg, accelerate):
-    """The pg/apg loop with the dense gradient and the public operators.
-
-    Returns ``(estimate, trace, error)``: the last good iterate, the
-    objective trace and the type of the error that stopped the loop.
-    """
-    lip = lipschitz_constant(reg)
-    m_prev = init_matrix(obs, reg)
-    z, trace = m_prev, []
-    for k in range(1, cfg.max_iter + 1):
-        try:
-            w = z - gradient(z, obs) / lip
-            m = alternating_projection(w, reg, tol=cfg.proj_tol,
-                                       max_iter=cfg.proj_max_iter).result
-        except NoConvergence:
-            return m_prev, np.asarray(trace), ProjectionFailure
-        except NonPositiveEntryAtObservation:
-            return None, None, NonPositiveEntryAtObservation
-        z = m + ((k - 1.0) / (k + 2.0)) * (m - m_prev) if accelerate else m
-        m_prev = m
-        trace.append(neg_log_likelihood(m, obs))
-    return m_prev, np.asarray(trace), None
 
 
 @settings(max_examples=60, deadline=None)
 @given(sampled_instances(), st.sampled_from(["pg", "apg"]))
 def test_pg_and_apg_match_the_dense_loop_bit_for_bit(case, algorithm):
     obs, reg, _ = case
-    cfg = SolverConfig(algorithm=algorithm, max_iter=30)
-    want = dense_projected_gradient(obs, reg, cfg, algorithm == "apg")
-    try:
-        rep = solve(obs, reg, cfg)
-        got = rep.estimate, rep.objective_trace, None
-    except ProjectionFailure as exc:
-        got = exc.report.estimate, exc.report.objective_trace, ProjectionFailure
-    except NonPositiveEntryAtObservation:
-        got = None, None, NonPositiveEntryAtObservation
-    assert got[2] is want[2]
-    if want[0] is not None:
-        assert same_bits(got[0], want[0])
-        assert same_bits(got[1], want[1])
+    check_against_linear_scan(obs, reg, SolverConfig(algorithm=algorithm, max_iter=30))
+
+
+def test_pg_and_apg_climb_where_counts_exceed_alpha():
+    # Both counts exceed alpha, so alpha/beta**2 = 625 bounds no curvature
+    # here. At that fixed step pg's objective rose (14.270, 13.982,
+    # 14.168, ...) and apg raised NonPositiveEntryAtObservation at
+    # iteration 10; the search climbs instead.
+    reg = FeasibleRegion(d1=1, d2=2, alpha=0.01, beta=0.004, r=1)
+    obs = full_obs([[1, 2]])
+    reps = {a: solve(obs, reg, SolverConfig(algorithm=a, max_iter=20))
+            for a in ("pg", "apg")}
+    for rep in reps.values():
+        assert rep.termination == "MaxIter" and rep.iterations_run == 20
+        assert rep.final_l > lipschitz_constant(reg)
+        assert len(rep.majorization_gaps) == 20
+        assert np.all(rep.majorization_gaps <= 0.0)
+    tr = reps["pg"].objective_trace
+    assert np.all(tr[1:] <= tr[:-1])
 
 
 def count_as_matrix(monkeypatch):
@@ -894,6 +919,8 @@ def test_every_run_returns_a_box_estimate_or_raises_with_one(algorithm, data):
     rep, error = contract_run(obs, reg, cfg)
     if error is None:
         assert rep.termination in ("MaxIter", "QGapSmall")
+    assert len(rep.majorization_gaps) == rep.iterations_run
+    assert np.all(rep.majorization_gaps <= 0.0)
     est = rep.estimate
     assert est.shape == reg.shape and np.all(np.isfinite(est))
     assert reg.beta <= est.min() and est.max() <= reg.alpha
