@@ -41,8 +41,13 @@ def _sampled_nll(vals, counts):
     """``neg_log_likelihood`` from the sampled entries ``vals`` alone.
 
     No checks: ``vals`` must be positive and in the stored sample order.
+    Computed in place on one temporary, in the order of
+    ``-sum(counts * log(vals) - vals)``, so it keeps that expression's bits.
     """
-    return float(-np.sum(counts * np.log(vals) - vals))
+    t = np.log(vals)
+    t *= counts
+    t -= vals
+    return float(-t.sum())
 
 
 def gradient(x, obs):
@@ -68,7 +73,7 @@ def _sampled_gradient(vals, counts):
     ``NonPositiveEntryAtObservation`` unless every entry of ``vals`` is
     positive.
     """
-    if np.any(vals <= 0.0):
+    if (vals <= 0.0).any():
         raise NonPositiveEntryAtObservation(
             "gradient needs x > 0 at every sampled cell"
         )

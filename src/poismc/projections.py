@@ -366,19 +366,21 @@ def _eigh(g, vectors):
     ``v`` is None with ``vectors=False``, where ``lam`` comes from
     ``eigvalsh``. Returns None when the eigendecomposition raises, or
     when the largest eigenvalue is not a finite normal number (the Gram
-    matrix overflowed, underflowed or holds NaN).
+    matrix overflowed, underflowed or holds NaN). It sets no errstate:
+    numpy's ``eigh`` and ``eigvalsh`` set their own, which ignores
+    overflow and turns an invalid operation into ``LinAlgError``.
     """
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if vectors:
-                lam, v = np.linalg.eigh(g)
-            else:
-                lam, v = np.linalg.eigvalsh(g), None
+        if vectors:
+            lam, v = np.linalg.eigh(g)
+        else:
+            lam, v = np.linalg.eigvalsh(g), None
     except np.linalg.LinAlgError:
         return None
     if not TINY_NORMAL <= lam[-1] < math.inf:
         return None
-    return np.sqrt(np.maximum(lam, 0.0)), v
+    np.maximum(lam, 0.0, out=lam)
+    return np.sqrt(lam, out=lam), v
 
 
 def _gram_shrink(x, a, s, v, tau):
@@ -393,7 +395,9 @@ def _gram_shrink(x, a, s, v, tau):
     """
     keep = s > tau
     v = v[:, keep]
-    shrunk = ((a @ v) * (1.0 - tau / s[keep])) @ v.T
+    av = a @ v
+    av *= 1.0 - tau / s[keep]
+    shrunk = av @ v.T
     return shrunk if a is x else shrunk.T
 
 

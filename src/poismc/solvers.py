@@ -38,7 +38,11 @@ cast is exact, so every product and quotient with them keeps its
 bits. Inputs are checked where they enter (``SolverConfig``,
 ``FeasibleRegion``, ``ObservationSet``, ``_start``); inside the loop the
 solvers call the unchecked kernels ``_svt`` and
-``_alternating_projection`` and clip with ``np.clip`` directly.
+``_alternating_projection`` and clip with ``np.maximum`` and
+``np.minimum`` in place. The per-trial arithmetic (the gap, the
+likelihood, the shrink) works in place on as few temporaries as it can,
+with the operations of the plain expressions in their order, so it
+keeps their bits.
 
 Objective values are recorded after the prox step of each iteration,
 so the trace length equals the number of iterations run. A run either
@@ -132,6 +136,10 @@ class SolverReport:
             "objective_trace": [float(v) for v in self.objective_trace],
             "final_l": self.final_l,
             "box_active_fraction": self.box_active_fraction,
+            # The largest gap of the run, <= 0 when every step was
+            # majorized; None when no step was accepted.
+            "max_majorization_gap": (float(self.majorization_gaps.max())
+                                     if self.majorization_gaps.size else None),
         }
 
 
@@ -183,8 +191,8 @@ def _gradient_step(z, zs, gs, l, flat):
     """The gradient step ``z - gradient(z, obs) / l``, on the sampled cells.
 
     ``zs`` is ``z`` at the sampled cells ``flat`` and ``gs`` the gradient
-    there. The result has the bits of the dense step (see the module
-    docstring).
+    there. The result is a new C-ordered matrix with the bits of the
+    dense step (see the module docstring).
     """
     w = z.copy()
     w.ravel()[flat] = zs - gs / l
@@ -200,14 +208,20 @@ def _trial(l, z, zs, gs, prox, flat, y):
     ``gap = f(m_next) - Q(m_next, z)`` is computed as the likelihood's
     Bregman term ``sum(y * (r - log1p(r)))``, ``r = (x_next - zs) / zs``,
     minus ``(l/2) * ||m_next - z||_F**2``, so no two values of f cancel.
-    The step is rejected when ``gap > 0``.
+    ``m_next - z`` goes into the gradient step's matrix, C-ordered as
+    ``np.vdot`` reads it, so the sum keeps its order. The step is
+    rejected when ``gap > 0``.
     """
-    m_next = prox(_gradient_step(z, zs, gs, l, flat), l)
-    x_next = m_next.ravel().take(flat)
-    r = (x_next - zs) / zs
-    diff = m_next - z
-    bregman = float(np.sum(y * (r - np.log1p(r))))
-    return m_next, x_next, bregman - 0.5 * l * float(np.vdot(diff, diff))
+    w = _gradient_step(z, zs, gs, l, flat)
+    m_next = prox(w, l)
+    x_next = m_next.take(flat)
+    r = x_next - zs
+    r /= zs
+    t = np.log1p(r)
+    np.subtract(r, t, out=t)
+    t *= y
+    diff = np.subtract(m_next, z, out=w)
+    return m_next, x_next, float(t.sum()) - 0.5 * l * float(np.vdot(diff, diff))
 
 
 def _prox(algorithm, cfg, region):
@@ -217,14 +231,16 @@ def _prox(algorithm, cfg, region):
     pg and apg take the alternating projection onto box and ball, which
     gives a feasible point, not the metric projection onto their
     intersection. So an accepted step certifies the quadratic upper
-    bound, not the textbook rate of FISTA.
+    bound, not the textbook rate of FISTA. Both return a new matrix, so
+    ``_trial`` may overwrite ``w`` once the prox has run.
     """
     if algorithm == "pmlsv":
         def shrink(w, l):
             # Clipped in place: a second matrix per trial made the allocator
             # return pages and fault them in again (+12% on pmlsv-d200).
             m_next = _svt(w, cfg.lam / l)
-            return np.clip(m_next, region.beta, region.alpha, out=m_next)
+            np.maximum(m_next, region.beta, out=m_next)
+            return np.minimum(m_next, region.alpha, out=m_next)
         return shrink
     return lambda w, l: _alternating_projection(
         w, region, cfg.proj_tol, cfg.proj_max_iter

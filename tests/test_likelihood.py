@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismc import (
     FeasibleRegion,
@@ -20,6 +22,7 @@ from poismc.errors import (
     NonPositiveParameter,
     ShapeMismatch,
 )
+from poismc.likelihood import _sampled_nll
 
 
 def single_obs(y, d1=1, d2=1):
@@ -27,6 +30,22 @@ def single_obs(y, d1=1, d2=1):
 
 
 # --- objective ----------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.sampled_from([1e-3, 1.0, 1e3]))
+def test_sampled_nll_is_the_plain_formula_bit_for_bit(n, seed, scale):
+    # The kernel works in place on one temporary; it must keep the bits of
+    # the plain expression and leave its inputs alone, for the integer
+    # counts neg_log_likelihood passes and the float ones of the solvers.
+    rng = np.random.default_rng(seed)
+    vals = scale * rng.uniform(0.01, 10.0, n)
+    for counts in (rng.poisson(5.0 * scale, n), rng.poisson(5.0 * scale, n) * 1.0):
+        before = vals.copy(), counts.copy()
+        got = _sampled_nll(vals, counts)
+        want = float(-np.sum(counts * np.log(vals) - vals))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert np.array_equal(vals, before[0]) and np.array_equal(counts, before[1])
 
 
 def test_nll_log_one():

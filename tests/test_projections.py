@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -16,10 +18,11 @@ from poismc import (
 from poismc import projections
 from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
 from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, TINY_NORMAL,
-                                _ball_step, _basis_bound, _fro_norm,
-                                _gram_bracket, _gram_eigh, _gram_theta)
+                                _ball_step, _basis_bound, _eigh, _fro_norm,
+                                _gram_bracket, _gram_eigh, _gram_shrink,
+                                _gram_theta)
 
-from test_solvers import binding_instance, hadamard
+from test_solvers import binding_instance, hadamard, same_bits
 
 
 def region(d1=3, d2=3, alpha=3.0, beta=1.0, r=2):
@@ -520,6 +523,46 @@ def test_svt_on_the_gram_side_of_the_guard_skips_the_svd(monkeypatch):
     svt(x, tau)
     assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert grams == [(3, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.sampled_from(["tall", "wide"]),
+       st.integers(0, 2**32 - 1), st.floats(0.01, 1.5))
+def test_gram_shrink_is_the_plain_formula_bit_for_bit(n, k, side, seed, frac):
+    # _gram_shrink scales a @ v in place; the result keeps the bits of the
+    # plain expression, transposed back when x is wide.
+    n, k = max(n, k), min(n, k)
+    x = np.random.default_rng(seed).normal(size=(n, k) if side == "tall" else (k, n))
+    a, _, s, v = _gram_eigh(x)
+    tau = frac * s[-1]
+    keep = s > tau
+    want = ((a @ v[:, keep]) * (1.0 - tau / s[keep])) @ v[:, keep].T
+    assert same_bits(_gram_shrink(x, a, s, v, tau), want if a is x else want.T)
+
+
+# name: a Gram matrix that holds inf or NaN
+NON_FINITE_GRAMS = {
+    "nan entry": (np.nan, 1.0),
+    "inf entry": (np.inf, 1.0),
+    "overflow": (1.0, 1e200),
+}
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+@pytest.mark.parametrize("name", NON_FINITE_GRAMS)
+def test_eigh_of_a_non_finite_gram_matrix_is_none_without_a_warning(name, vectors):
+    # _eigh sets no errstate of its own: numpy's eigh and eigvalsh set one
+    # that ignores overflow and turns an invalid operation into LinAlgError.
+    # Here every floating-point condition warns, and a warning fails.
+    entry, scale = NON_FINITE_GRAMS[name]
+    a = scale * np.random.default_rng(5).normal(size=(6, 4))
+    a[2, 1] = entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = a.T @ a
+    assert not np.isfinite(g).all()
+    with warnings.catch_warnings(), np.errstate(all="warn"):
+        warnings.simplefilter("error")
+        assert _eigh(g, vectors) is None
 
 
 def test_svt_of_nan_raises_svd_failure():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import poismc.core as core_mod
@@ -645,6 +645,36 @@ def test_shrink_trial_is_the_dense_trial_bit_for_bit(case, log_l, lam):
     assert same_bits(x_next, want[obs.rows, obs.cols])
 
 
+@settings(max_examples=200, deadline=None)
+@given(sampled_instances(), st.floats(-8.0, 8.0),
+       st.sampled_from(solvers_mod.ALGORITHMS), st.booleans(), st.booleans())
+def test_trial_is_the_scan_trial_bit_for_bit(case, log_l, algorithm, extrapolated,
+                                            fortran):
+    # Any rung, accepted or rejected, of each prox, from a box point or
+    # from one that leaves the box off the sample set, as apg's may, held
+    # C- or F-ordered (a wide shrink returns its estimate F-ordered).
+    obs, reg, m = case
+    l = 10.0 ** log_l
+    z = np.where(obs.mask(), m, -m) if extrapolated else m
+    z = np.asfortranarray(z) if fortran else z
+    cfg = SolverConfig(algorithm=algorithm)
+    _, _, flat, y = solvers_mod._start(obs, reg)
+    zs = z.ravel().take(flat)
+    ctx = (z, zs, _sampled_gradient(zs, y), solvers_mod._prox(algorithm, cfg, reg),
+           flat, y)
+    try:
+        want_m, want_gap = scan_trial(l, z, gradient(z, obs), obs, scan_prox(cfg, reg))
+    except NoConvergence:
+        with pytest.raises(NoConvergence):
+            solvers_mod._trial(l, *ctx)
+        return
+    m_next, x_next, gap = solvers_mod._trial(l, *ctx)
+    event("rejected" if gap > 0.0 else "accepted")
+    assert same_bits(m_next, want_m)
+    assert same_bits(x_next, m_next[obs.rows, obs.cols])
+    assert same_bits(np.float64(gap), np.float64(want_gap))
+
+
 @settings(max_examples=60, deadline=None)
 @given(sampled_instances(), st.sampled_from(["pg", "apg"]))
 def test_pg_and_apg_match_the_dense_loop_bit_for_bit(case, algorithm):
@@ -717,6 +747,7 @@ def test_projection_failure_carries_partial_report():
     rep = excinfo.value.report
     assert rep.termination == "ProjectionFailure"
     assert rep.iterations_run == 0
+    assert rep.to_json_dict()["max_majorization_gap"] is None
 
 
 def fail_on_call(n, real, error):
@@ -826,12 +857,14 @@ def test_report_json_schema():
         "box_active_fraction",
         "final_l",
         "iterations_run",
+        "max_majorization_gap",
         "objective_trace",
         "termination",
         "wall_time_sec",
     ]
     assert d["algorithm"] == "pg"
     assert len(d["objective_trace"]) == d["iterations_run"] == 3
+    assert d["max_majorization_gap"] == rep.majorization_gaps.max() <= 0.0
 
 
 def test_dispatch_rejects_unknown_algorithm():
