@@ -73,10 +73,7 @@ def validate_region(region):
         r non-integer or outside 1..min(d1, d2).
     """
     d1, d2 = region.d1, region.d2
-    if not (isinstance(d1, (int, np.integer)) and isinstance(d2, (int, np.integer))):
-        raise BadShape(f"d1, d2 must be integers, got ({d1!r}, {d2!r})")
-    if d1 < 1 or d2 < 1:
-        raise BadShape(f"d1, d2 must be >= 1, got ({d1}, {d2})")
+    _check_shape(d1, d2)
     alpha, beta = float(region.alpha), float(region.beta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise BadBounds(f"bounds must be finite, got alpha={alpha}, beta={beta}")
@@ -90,12 +87,43 @@ def validate_region(region):
         raise BadBounds("derived nuclear radius must be strictly positive")
 
 
+def _check_shape(d1, d2):
+    """Raise ``BadShape`` unless d1 and d2 are integers >= 1."""
+    if not (isinstance(d1, (int, np.integer)) and isinstance(d2, (int, np.integer))):
+        raise BadShape(f"d1, d2 must be integers, got ({d1!r}, {d2!r})")
+    if d1 < 1 or d2 < 1:
+        raise BadShape(f"d1, d2 must be >= 1, got ({d1}, {d2})")
+
+
+def _indices(values, name):
+    """``values`` as an array of finite integers, not yet cast to ``intp``.
+
+    Integer and boolean arrays pass as they are. Anything else is read as
+    floats, and ``BadObservations`` is raised unless every value is a
+    finite integer, so a fractional index is never truncated into another
+    cell. The caller checks the range before the cast, so no value is
+    cast from outside ``intp``.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind in "biu":
+        return a
+    try:
+        a = a.astype(float)
+    except (TypeError, ValueError):
+        raise BadObservations(f"{name} indices must be integers") from None
+    if not np.all(np.isfinite(a) & (a == np.floor(a))):
+        raise BadObservations(f"{name} indices must be finite integers")
+    return a
+
+
 @dataclass(frozen=True)
 class ObservationSet:
     """Sampled index set with one Poisson count per sampled cell.
 
     ``rows``, ``cols``, ``counts`` are parallel int arrays; indices are
     zero-based and unique (Bernoulli sampling admits no duplicates).
+    Indices may be given as floats only where each is a finite integer;
+    d1 and d2 must be integers (``BadShape`` otherwise).
     Counts are integers in ``[0, COUNT_LIMIT]``, so casting one to float
     is exact.
     ``m_expected`` records the design-time expected sample count when known.
@@ -109,20 +137,20 @@ class ObservationSet:
     m_expected: float | None = None
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
+        rows = _indices(self.rows, "row")
+        cols = _indices(self.cols, "column")
         counts_f = np.asarray(self.counts, dtype=float)
         if not (rows.ndim == cols.ndim == counts_f.ndim == 1):
             raise BadObservations("rows, cols, counts must be 1-D")
         if not (rows.size == cols.size == counts_f.size):
             raise BadObservations("rows, cols, counts must have equal length")
-        if self.d1 < 1 or self.d2 < 1:
-            raise BadShape(f"d1, d2 must be >= 1, got ({self.d1}, {self.d2})")
+        _check_shape(self.d1, self.d2)
+        if np.any((rows < 0) | (rows >= self.d1)):
+            raise BadObservations("row index out of range")
+        if np.any((cols < 0) | (cols >= self.d2)):
+            raise BadObservations("column index out of range")
+        rows, cols = rows.astype(np.intp), cols.astype(np.intp)
         if rows.size:
-            if rows.min() < 0 or rows.max() >= self.d1:
-                raise BadObservations("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.d2:
-                raise BadObservations("column index out of range")
             flat = rows * self.d2 + cols
             if np.unique(flat).size != flat.size:
                 raise BadObservations("duplicate (i, j) sample")

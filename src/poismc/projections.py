@@ -24,19 +24,42 @@ from one eigendecomposition of the Gram matrix of the shorter side
   straddles the radius, the guard fails or the Gram matrix leaves the
   float range, it runs the SVD formula.
 * ``alternating_projection`` picks each sweep's decomposition by its
-  sweep number alone:
+  sweep number, and the first sweep's also by how the previous call's
+  first sweep ended, where the caller passes that on (the memo of
+  ``_alternating_projection``; the solvers keep one per solve):
 
   - sweep 1 runs ``eigh``, whose vectors the second sweep's basis bound
-    reads;
+    reads. Where the previous first sweep left its input unchanged and
+    has a basis, it first tries that basis in the basis bound, with no
+    decomposition at all; a gradient step that stays inside the ball,
+    as late iterates do, is proved there. Where the previous first
+    sweep shrank by the SVD formula, it reads the eigenvalues only, as
+    sweep 2 does: a step just outside the ball shrinks at a tiny theta,
+    past the guard, so the vectors of an ``eigh`` would be thrown away;
   - sweep 2 reads the eigenvalues only (``eigvalsh``), which is all the
     bracket needs, and runs ``eigh`` on the same Gram matrix only where
     the bracket proves the point outside and the guard holds, since the
-    shrink reads the vectors;
+    shrink reads the vectors. It tries the basis bound first where the
+    first sweep left it a basis, and goes straight to its ball step
+    where the first sweep proved its input inside from eigenvalues
+    alone;
   - sweep 3 onward runs the SVD formula: a third sweep runs only where
     the ball bound on the second, and it tends to keep binding with a
     theta that shrinks as the gap closes, so sigma_1 / theta grows and
     the guard would most likely fail after the ``eigh`` had been paid
     for.
+
+  The memo only picks which proof the first sweep tries first, and a
+  failed proof falls through to the step without it. The basis bound
+  proves only points the ball step returns unchanged (see
+  ``BALL_TEST_GUARD``), and an eigenvalues-only step that shrinks on
+  the Gram path decides again from the ``eigh`` it then runs. So the
+  result, iteration count and gap are those of the call without a
+  memo, but for one case: ``eigh`` and ``eigvalsh`` may differ in
+  their last bits, and where the radius lies within those bits of a
+  bracket end or of the guard, the two reads can decide differently
+  (one proves, the other leaves it to the SVD); both results then lie
+  within the ball step's tolerance.
 
 The public functions check their arguments, then run an unchecked
 kernel (``_ball_step``, ``_svt``, ``_alternating_projection``). The
@@ -136,6 +159,10 @@ GAP_NOISE_FACTOR = 4.0
 # basis bound) by under n * sqrt(d) * 1.5e-24, far below BALL_TEST_GUARD.
 TINY_NORM = 1e-130
 
+# How a ball step ended (``_ball_step``): input returned unchanged, shrunk
+# through the Gram matrix, or shrunk by the SVD formula.
+INSIDE, GRAM, SVD = "inside", "gram", "svd"
+
 
 @dataclass(frozen=True)
 class ProjectionReport:
@@ -175,14 +202,16 @@ def project_nuclear_ball(x, radius):
 def _ball_step(x, radius, gram=True, vectors=True):
     """``project_nuclear_ball`` on a checked matrix, with a basis for ``x``.
 
-    Returns ``(result, q)``. ``q`` is a complete orthonormal basis of the
-    shorter side for ``_basis_bound``: the eigenvectors of the Gram
-    matrix, or the matching singular vectors where the SVD ran. With
-    ``gram=False`` the step runs the SVD formula directly. With
-    ``vectors=False`` the Gram path reads the eigenvalues only, and runs
-    ``eigh`` on the same Gram matrix only to shrink; ``q`` is None where
-    no vectors were computed, that is where the bracket proves ``x``
-    inside.
+    Returns ``(result, q, path)``. ``q`` is a complete orthonormal basis
+    of the shorter side for ``_basis_bound``: the eigenvectors of the
+    Gram matrix, or the matching singular vectors where the SVD ran.
+    ``path`` says how the step ended: ``INSIDE`` where it returned ``x``
+    unchanged, ``GRAM`` where it shrank through the Gram matrix and
+    ``SVD`` where it shrank by the SVD formula. With ``gram=False`` the
+    step runs the SVD formula directly. With ``vectors=False`` the Gram
+    path reads the eigenvalues only, and runs ``eigh`` on the same Gram
+    matrix only to shrink; ``q`` is None where no vectors were computed,
+    that is where the bracket proves ``x`` inside.
     """
     spec = _gram_eigh(x, vectors) if gram else None
     if spec is not None:
@@ -199,14 +228,14 @@ def _ball_step(x, radius, gram=True, vectors=True):
                 s, v = spec
                 theta = _gram_theta(a, g, s, radius)
         if theta == 0.0:
-            return np.array(x), v
+            return np.array(x), v, INSIDE
         if theta is not None:
-            return _gram_shrink(x, a, s, v, theta), v
+            return _gram_shrink(x, a, s, v, theta), v, GRAM
     u, s, vt = _svd(x)
     q = vt.T if x.shape[0] >= x.shape[1] else u
     if float(s.sum()) <= radius:
-        return np.array(x), q
-    return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q
+        return np.array(x), q, INSIDE
+    return (u * np.maximum(s - _ball_theta(s, radius), 0.0)) @ vt, q, SVD
 
 
 def _gram_theta(a, g, s, radius):
@@ -427,9 +456,11 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
     eigenvalues alone. The guard exceeds the rounding of the basis bound
     (see ``BALL_TEST_GUARD``), so only a point the ball step would leave
     alone skips it, and the result, iteration count and gap equal those
-    of the plain loop. The first sweep has no such test: it starts from
-    an arbitrary point, in the solvers a gradient step, which usually
-    lies outside the ball.
+    of the plain loop. This function carries nothing from one call to
+    the next, so its first sweep has no such test: it starts from an
+    arbitrary point. The solvers call the kernel with the previous
+    call's first-sweep outcome instead, and there the first sweep tries
+    the same test on its own input (see the module docstring).
 
     The first sweep takes the ball step's Gram path with eigenvectors,
     the second with eigenvalues only; from the third on, the ball step
@@ -445,23 +476,42 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
         raise ValueError(f"tol must be > 0, got {tol}")
     _check_positive_int("max_iter", max_iter)
     return _alternating_projection(as_matrix(u0, shape=region.shape), region,
-                                   tol, max_iter)
+                                   tol, max_iter)[0]
 
 
-def _alternating_projection(u, region, tol, max_iter):
-    """``alternating_projection`` on a checked matrix, ``tol`` and ``max_iter``."""
+def _alternating_projection(u, region, tol, max_iter, memo=None):
+    """``alternating_projection`` on a checked matrix, ``tol`` and ``max_iter``.
+
+    Returns ``(report, memo)``, where ``memo`` says how this call's first
+    sweep ended: the ``(path, q)`` of its ball step, or ``(INSIDE, q)``
+    with the incoming basis where that basis proved the input inside.
+    Passed to the next call (None for no previous call), it picks which
+    proof that call's first sweep tries first: the basis bound over
+    ``q`` after ``INSIDE`` with a basis, the eigenvalues-only ball step
+    after ``SVD``, and the plain step otherwise (see the module
+    docstring). A ``q`` from any matrix of the same shape gives a valid
+    bound.
+    """
     radius = region.nuclear_radius
     noise = GAP_NOISE_FACTOR * math.sqrt(u.size) * EPS
     gap = np.inf
     inside = radius * (1.0 - BALL_TEST_GUARD)
+    path, basis = memo or (None, None)
     for j in range(1, max_iter + 1):
-        if j == 2 and _basis_bound(u, basis) <= inside:
-            return ProjectionReport(result=u, iterations=j, final_gap=0.0)
-        v, basis = _ball_step(u, radius, gram=j <= 2, vectors=j == 1)
+        if (j == 1 and path == INSIDE and basis is not None
+                and _basis_bound(u, basis) <= inside):
+            v = u
+        elif j == 2 and basis is not None and _basis_bound(u, basis) <= inside:
+            return ProjectionReport(result=u, iterations=j, final_gap=0.0), memo
+        else:
+            v, basis, path = _ball_step(u, radius, gram=j <= 2,
+                                        vectors=j == 1 and path != SVD)
+        if j == 1:
+            memo = (path, basis)
         u = v.clip(region.beta, region.alpha)
         gap = _fro_norm(v - u)
         if gap <= tol or gap <= noise * _fro_norm(u):
-            return ProjectionReport(result=u, iterations=j, final_gap=gap)
+            return ProjectionReport(result=u, iterations=j, final_gap=gap), memo
     report = ProjectionReport(result=u, iterations=max_iter, final_gap=gap)
     raise NoConvergence(
         f"gap {gap:.3e} > tol {tol:.3e} after {max_iter} iterations", report

@@ -4,7 +4,9 @@ Three schemes, all starting from the count-seeded initializer:
 
 * ``pg``     projected gradient, feasibility via alternating projection
   onto box-and-ball; the ``projections`` module docstring says which
-  decomposition each ball step takes;
+  decomposition each ball step takes. Each projection is handed how the
+  first sweep of the one before ended (``_prox``), a memo that lives
+  for one solve only;
 * ``apg``    the same step with Nesterov momentum (k-1)/(k+2);
 * ``pmlsv``  nuclear-norm regularized singular-value shrinkage with box
   projection. The shrinkage (``projections._svt``) takes one symmetric
@@ -77,7 +79,8 @@ class SolverConfig:
     at ``alpha/beta**2``. ``proj_tol`` and ``proj_max_iter`` drive the
     alternating projection of ``pg``/``apg``; ``proj_tol`` bounds its
     feasibility gap, and gaps at or below the float64 noise floor
-    ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is.
+    ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is. ``l0`` is at most
+    ``BACKTRACK_L_CAP``, the ceiling the step search keeps.
     Construction raises ``ValueError`` on an unknown algorithm, a value
     out of range, or an iteration cap that is not an integer.
     """
@@ -97,6 +100,8 @@ class SolverConfig:
         for name, ok, rule in (("eta", self.eta > 1.0, "> 1"),
                                ("lam", self.lam >= 0.0, ">= 0"),
                                ("l0", self.l0 > 0.0, "> 0"),
+                               ("l0", self.l0 <= BACKTRACK_L_CAP,
+                                f"<= {BACKTRACK_L_CAP:.0e}"),
                                ("proj_tol", self.proj_tol > 0.0, "> 0")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -233,6 +238,15 @@ def _prox(algorithm, cfg, region):
     intersection. So an accepted step certifies the quadratic upper
     bound, not the textbook rate of FISTA. Both return a new matrix, so
     ``_trial`` may overwrite ``w`` once the prox has run.
+
+    The projection's closure keeps the memo of the last call's first
+    sweep and passes it to the next call, whatever trial or iteration
+    that is, so that an iterate inside the ball, or just outside it, is
+    projected without the decomposition the memo shows it would throw
+    away. Each solve builds its own closure, so no memo outlives the
+    solve. The memo only orders the proofs, so every result keeps the
+    bits of the memo-free projection (up to the one case the
+    ``projections`` module docstring names).
     """
     if algorithm == "pmlsv":
         def shrink(w, l):
@@ -242,9 +256,14 @@ def _prox(algorithm, cfg, region):
             np.maximum(m_next, region.beta, out=m_next)
             return np.minimum(m_next, region.alpha, out=m_next)
         return shrink
-    return lambda w, l: _alternating_projection(
-        w, region, cfg.proj_tol, cfg.proj_max_iter
-    ).result
+    memo = None
+
+    def project(w, l):
+        nonlocal memo
+        report, memo = _alternating_projection(w, region, cfg.proj_tol,
+                                               cfg.proj_max_iter, memo)
+        return report.result
+    return project
 
 
 def _climb(l, steps, eta):

@@ -1,10 +1,15 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from poismc import (
     BoundConstants, FeasibleRegion, SolverConfig, init_matrix, lower_bound,
@@ -19,7 +24,8 @@ from poismc.fileio import (
 )
 from poismc.imaging import patchify, read_image, recover_image, to_display
 
-from test_solvers import binding_instance, fail_on_call
+from test_solvers import (binding_instance, contract_cases, contract_run,
+                          fail_on_call, same_bits)
 
 
 def run(*argv):
@@ -139,6 +145,9 @@ def test_complete_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
     ("--iters", "0", "--iters must be an integer >= 1, got 0"),
     ("--lambda", "-1", "--lambda must be >= 0, got -1.0"),
     ("--l0", "0", "--l0 must be > 0, got 0.0"),
+    # At inf the solve would never move, and report.json would hold
+    # Infinity, which is not JSON.
+    ("--l0", "inf", "--l0 must be <= 1e+15, got inf"),
     ("--eta", "1", "--eta must be > 1, got 1.0"),
     ("--proj-tol", "0", "--proj-tol must be > 0, got 0.0"),
     ("--proj-max-iter", "0", "--proj-max-iter must be an integer >= 1, got 0"),
@@ -227,6 +236,44 @@ def test_complete_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
     assert report["solver"]["termination"] == "NonPositiveEntryAtObservation"
     assert report["solver"]["iterations_run"] == 3
     assert read_json(out / "manifest.json")["outputs"] == ["report.json"]
+
+
+@pytest.mark.parametrize("algorithm", solvers_mod.ALGORITHMS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_complete_run_exits_0_with_a_box_estimate_or_3_with_its_report(
+        algorithm, data):
+    # The solve contract's draws, counts above alpha included, through the
+    # CSV reader and the flags: the run exits 0 with the in-process
+    # estimate, or 3 with a report that names the error the solve raised.
+    obs, reg, cfg = data.draw(contract_cases(algorithm))
+    rep, error = contract_run(obs, reg, cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_observations_csv(obs, os.path.join(tmp, "obs.csv"))
+        out = os.path.join(tmp, "out")
+        argv = ["complete", "--obs", os.path.join(tmp, "obs.csv"),
+                "--d1", str(reg.d1), "--d2", str(reg.d2), "--rank", str(reg.r),
+                "--alpha", repr(float(reg.alpha)), "--beta", repr(float(reg.beta)),
+                "--algo", algorithm, "--iters", str(cfg.max_iter),
+                "--lambda", repr(float(cfg.lam)),
+                "--proj-max-iter", str(cfg.proj_max_iter), "--out", out]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            rc = run(*argv)
+        event(f"exit {rc}")
+        report = read_json(os.path.join(out, "report.json"))["solver"]
+        estimate = os.path.join(out, "estimate.csv")
+        if error is None:
+            assert rc == 0
+            est = read_matrix_csv(estimate)
+            assert reg.beta <= est.min() and est.max() <= reg.alpha
+            assert same_bits(est, rep.estimate)
+            assert report["termination"] == rep.termination
+        else:
+            assert rc == 3
+            assert not os.path.exists(estimate)
+            assert report["termination"] == error.__name__
+        assert report["iterations_run"] == rep.iterations_run
 
 
 def test_solver_flag_defaults_come_from_solver_config():

@@ -190,6 +190,39 @@ def test_observations_validate():
     assert obs.counts.tolist() == [2**53 - 1, 0]
 
 
+@pytest.mark.parametrize("rows, cols", [
+    ([0.7, 1.9], [0, 1]),  # a cast would truncate them to rows [0, 1]
+    ([0, 1], [0.5, 0]),
+    ([np.nan, 0], [0, 1]),  # a cast would warn, then land out of range
+    ([0, 1], [np.inf, 0]),
+    (["a", 0], [0, 1]),
+])
+def test_observations_reject_non_integer_indices(rows, cols):
+    with pytest.raises(BadObservations, match="indices must be"):
+        ObservationSet(d1=2, d2=2, rows=rows, cols=cols, counts=[1, 2])
+
+
+def test_observations_reject_a_non_integer_shape():
+    # A fractional shape would pass the range checks, and mask() would
+    # then raise TypeError.
+    for d1, d2 in ((2.5, 2), (2, 2.0), (0, 2)):
+        with pytest.raises(BadShape):
+            ObservationSet(d1=d1, d2=d2, rows=[0], cols=[0], counts=[1])
+
+
+def test_observations_keep_integer_indices_and_whole_floats():
+    want = ObservationSet(d1=3, d2=2, rows=[2, 0], cols=[1, 0], counts=[4, 1])
+    for rows, cols in (([2.0, 0.0], [1.0, 0.0]),
+                       (np.array([2, 0], dtype=np.uint8), np.array([1, 0]))):
+        obs = ObservationSet(d1=3, d2=2, rows=rows, cols=cols, counts=[4, 1])
+        for name in ("rows", "cols"):
+            got = getattr(obs, name)
+            assert got.dtype == np.intp
+            assert got.tobytes() == getattr(want, name).tobytes()
+    with pytest.raises(BadObservations, match="out of range"):
+        ObservationSet(d1=3, d2=2, rows=[1e300, 0], cols=[0, 1], counts=[1, 2])
+
+
 def test_observations_mask():
     obs = ObservationSet(d1=2, d2=3, rows=[0, 1], cols=[2, 0], counts=[5, 1])
     mask = obs.mask()

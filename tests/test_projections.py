@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from poismc import (
@@ -17,7 +17,8 @@ from poismc import (
 )
 from poismc import projections
 from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
-from poismc.projections import (BALL_TEST_GUARD, GRAM_SVT_GUARD, TINY_NORMAL,
+from poismc.projections import (BALL_TEST_GUARD, GRAM, GRAM_SVT_GUARD, INSIDE,
+                                SVD, TINY_NORMAL, _alternating_projection,
                                 _ball_step, _basis_bound, _eigh, _fro_norm,
                                 _gram_bracket, _gram_eigh, _gram_shrink,
                                 _gram_theta)
@@ -239,8 +240,8 @@ def test_ball_step_from_values_only_is_the_step_with_vectors(case):
     # bits; where the two differ (their values may differ in the last
     # bits), both results still lie within the ball step's tolerance.
     x, radius = case
-    got, q = _ball_step(x, radius, vectors=False)
-    want, _ = _ball_step(x, radius)
+    got, q, _ = _ball_step(x, radius, vectors=False)
+    want, _, _ = _ball_step(x, radius)
     if gram_decision(x, radius, False) == gram_decision(x, radius, True):
         assert np.array_equal(got, want)
     else:
@@ -274,9 +275,10 @@ def check_ball_fallback(monkeypatch, name, tall, vectors):
     if name == "eigh raises":
         raise_in_eigh(monkeypatch)
     counts = count_decompositions(monkeypatch)
-    got, q = _ball_step(x, radius, vectors=vectors)
+    got, q, path = _ball_step(x, radius, vectors=vectors)
     assert counts == {"eigh": int(vectors), "eigvalsh": int(not vectors),
                       "full": 1, "values": 0}
+    assert path == (INSIDE if np.array_equal(got, x) else SVD)
     assert np.array_equal(got, want)
     assert q.shape == (3, 3)
 
@@ -297,7 +299,7 @@ def test_ball_falls_back_from_values_only(monkeypatch, name, tall):
 def test_ball_step_without_the_gram_path_runs_only_the_svd(monkeypatch):
     x, nuclear = unit_3x5()
     counts = count_decompositions(monkeypatch)
-    got, _ = _ball_step(x, 0.5 * nuclear, gram=False)
+    got, _, _ = _ball_step(x, 0.5 * nuclear, gram=False)
     assert counts == {"eigh": 0, "eigvalsh": 0, "full": 1, "values": 0}
     assert np.array_equal(got, ball_svd_formula(x, 0.5 * nuclear))
 
@@ -311,9 +313,10 @@ def test_ball_step_on_the_gram_path_skips_the_svd(monkeypatch, frac, tall):
     x = x.T.copy() if tall else x
     want = ball_svd_formula(x, frac * nuclear)
     counts = count_decompositions(monkeypatch)
-    got, q = _ball_step(x, frac * nuclear)
+    got, q, path = _ball_step(x, frac * nuclear)
     assert counts == {"eigh": 1, "eigvalsh": 0, "full": 0, "values": 0}
     assert q.shape == (3, 3)
+    assert path == (INSIDE if frac > 1.0 else GRAM)
     if frac > 1.0:
         assert np.array_equal(got, x)
     else:
@@ -327,7 +330,7 @@ def test_ball_step_from_values_only_proves_inside_without_eigh(monkeypatch, tall
     x, nuclear = unit_3x5()
     x = x.T.copy() if tall else x
     counts = count_decompositions(monkeypatch)
-    got, q = _ball_step(x, (1.0 + 1e-6) * nuclear, vectors=False)
+    got, q, _ = _ball_step(x, (1.0 + 1e-6) * nuclear, vectors=False)
     assert counts == {"eigh": 0, "eigvalsh": 1, "full": 0, "values": 0}
     assert q is None
     assert np.array_equal(got, x)
@@ -340,11 +343,11 @@ def test_ball_step_from_values_only_shrinks_through_one_eigh(monkeypatch, tall):
     # the result is the step with vectors, bit for bit.
     x, nuclear = unit_3x5()
     x = x.T.copy() if tall else x
-    want, want_q = _ball_step(x, 0.5 * nuclear)
+    want, want_q, _ = _ball_step(x, 0.5 * nuclear)
     grams, eigh = [], np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: grams.append(a) or eigh(a))
     counts = count_decompositions(monkeypatch)
-    got, q = _ball_step(x, 0.5 * nuclear, vectors=False)
+    got, q, _ = _ball_step(x, 0.5 * nuclear, vectors=False)
     assert counts == {"eigh": 1, "eigvalsh": 1, "full": 0, "values": 0}
     assert np.array_equal(got, want)
     assert np.array_equal(q, want_q)
@@ -683,7 +686,7 @@ def altproj_reference(u0, reg, tol, max_iter):
     noise = 4.0 * np.sqrt(u.size) * np.finfo(float).eps
     gap = np.inf
     for j in range(1, max_iter + 1):
-        v, _ = _ball_step(u, reg.nuclear_radius, gram=j <= 2, vectors=j == 1)
+        v = _ball_step(u, reg.nuclear_radius, gram=j <= 2, vectors=j == 1)[0]
         u = project_box(v, reg)
         gap = float(np.linalg.norm(v - u))
         if gap <= max(tol, noise * np.linalg.norm(u)):
@@ -888,3 +891,110 @@ def test_altproj_makes_no_eigh_after_the_second_sweep(monkeypatch, shape):
     assert len(sweeps) == rep.iterations > 3
     assert sweeps == ([(1, 0, True), (1, 1, True)]
                       + [(0, 0, True)] * (rep.iterations - 2))
+
+
+# --- the first-sweep memo ---------------------------------------------------------
+
+
+def altproj_run(u0, reg, tol, max_iter, memo=None):
+    """``(report, memo)`` of the kernel; the memo is None where it raised."""
+    try:
+        return _alternating_projection(u0, reg, tol, max_iter, memo)
+    except NoConvergence as exc:
+        return exc.report, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(altproj_cases(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["other basis", "svd mark", "inside, no basis", "gram",
+                        "none"]))
+@example(wide_equal_bounds_case(), 0, "other basis")
+def test_altproj_memo_keeps_the_bits_of_the_memo_free_run(case, seed, incoming):
+    # The memo only picks which proof the first sweep tries first. A basis
+    # from another matrix of the same shape still bounds ||u||_*, and a
+    # failed bound falls through to the plain step. After the SVD mark the
+    # first sweep reads eigvalsh first; it decides as eigh would wherever
+    # the two brackets agree, which the eigenvalues of eigh and eigvalsh
+    # fail to do only where the radius sits within their last bits of a
+    # bracket end or of the guard.
+    u0, reg, tol, max_iter = case
+    radius = reg.nuclear_radius
+    other = np.random.default_rng(seed).normal(size=u0.shape)
+    other_basis = _ball_step(other, radius)[1]
+    memo = {"other basis": (INSIDE, other_basis), "svd mark": (SVD, other_basis),
+            "inside, no basis": (INSIDE, None), "gram": (GRAM, other_basis),
+            "none": None}[incoming]
+    want, want_memo = altproj_run(u0, reg, tol, max_iter)
+    got, got_memo = altproj_run(u0, reg, tol, max_iter, memo)
+    if incoming == "svd mark" and (gram_decision(u0, radius, False)
+                                   != gram_decision(u0, radius, True)):
+        event("eigh and eigvalsh decide apart")
+        return
+    assert same_bits(got.result, want.result)
+    assert got.iterations == want.iterations
+    assert same_bits(np.float64(got.final_gap), np.float64(want.final_gap))
+    assert (got_memo is None) == (want_memo is None)
+    if got_memo is not None:
+        path, basis = got_memo
+        assert path in (INSIDE, GRAM, SVD)
+        assert basis is not None or path == INSIDE
+        event(f"outgoing {path}")
+
+
+def test_altproj_proves_an_inside_start_from_the_carried_basis(monkeypatch):
+    # A box point inside the ball: the previous call's basis proves it, so
+    # no decomposition runs, and the basis is carried on.
+    reg = region(d1=3, d2=4, alpha=3.0, beta=1.0, r=1)
+    u0 = np.full((3, 4), 2.0)
+    u0[0, 0] = 2.5
+    basis = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))[0]
+    want, _ = _alternating_projection(u0, reg, 1e-6, 50)
+    counts = count_decompositions(monkeypatch)
+    rep, memo = _alternating_projection(u0, reg, 1e-6, 50, (INSIDE, basis))
+    assert counts == {"eigh": 0, "eigvalsh": 0, "full": 0, "values": 0}
+    assert rep.iterations == 1 and rep.final_gap == 0.0
+    assert same_bits(rep.result, want.result) and np.array_equal(rep.result, u0)
+    assert memo[0] == INSIDE and memo[1] is basis
+
+
+def sigma_over_guard_case():
+    """A 3x5 start just outside a rank-1 region's ball: the bracket proves
+    it outside, but sigma_1 / theta is past the guard, so the SVD formula
+    shrinks it."""
+    x, nuclear = unit_3x5()
+    reg = region(d1=3, d2=5, alpha=1.0, beta=0.5, r=1)
+    return x * (reg.nuclear_radius / ((1.0 - 1e-7) * nuclear)), reg
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_altproj_after_an_svd_fallback_reads_eigvalsh_first(monkeypatch, tall):
+    # The plain first sweep pays an eigh, throws it away and runs the SVD;
+    # after the SVD mark it reads eigvalsh, then the SVD, with the same bits.
+    u0, reg = sigma_over_guard_case()
+    if tall:
+        u0, reg = u0.T.copy(), region(d1=5, d2=3, alpha=1.0, beta=0.5, r=1)
+    counts = count_decompositions(monkeypatch)
+    want, want_memo = _alternating_projection(u0, reg, 1e300, 1)
+    assert counts == {"eigh": 1, "eigvalsh": 0, "full": 1, "values": 0}
+    assert want_memo[0] == SVD
+    counts.update(eigh=0, full=0)
+    got, memo = _alternating_projection(u0, reg, 1e300, 1, want_memo)
+    assert counts == {"eigh": 0, "eigvalsh": 1, "full": 1, "values": 0}
+    assert same_bits(got.result, want.result)
+    assert got.final_gap == want.final_gap
+    assert memo[0] == SVD
+
+
+def test_altproj_second_sweep_without_a_basis_runs_its_ball_step(monkeypatch):
+    # After the SVD mark an inside start is proved from eigvalsh alone, so
+    # the second sweep has no basis to bound with: it goes straight to its
+    # own eigenvalues-only ball step.
+    reg = region(d1=2, d2=2, alpha=1.0, beta=0.9, r=1)
+    u0 = np.diag([1.0, -0.5])
+    want = alternating_projection(u0, reg)
+    counts = count_decompositions(monkeypatch)
+    rep, memo = _alternating_projection(u0, reg, 1e-6, 500, (SVD, None))
+    assert counts == {"eigh": 0, "eigvalsh": 2, "full": 0, "values": 0}
+    assert memo == (INSIDE, None)
+    assert rep.iterations == want.iterations == 2
+    assert same_bits(rep.result, want.result) and rep.final_gap == want.final_gap

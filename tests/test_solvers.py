@@ -45,6 +45,7 @@ from poismc.errors import (
 )
 from poismc.core import as_matrix
 from poismc.likelihood import _sampled_gradient
+from poismc.synth import observe
 
 
 def one_by_one(y, alpha=3.0, beta=1.0):
@@ -581,13 +582,13 @@ def test_pmlsv_probes_gallop_to_the_cap_then_overflow(monkeypatch):
 
 
 def test_pmlsv_backtrack_overflow(monkeypatch):
+    # The config is built before the cap is lowered: l0 above the cap is
+    # rejected at construction.
     obs, reg = binding_instance(1)
+    cfg = SolverConfig(algorithm="pmlsv", max_iter=5, lam=0.1, l0=1e-8, eta=2.0)
     monkeypatch.setattr(solvers_mod, "BACKTRACK_L_CAP", 1e-9)
     with pytest.raises(BacktrackOverflow):
-        solve_pmlsv(
-            obs, reg,
-            SolverConfig(algorithm="pmlsv", max_iter=5, lam=0.1, l0=1e-8, eta=2.0),
-        )
+        solve_pmlsv(obs, reg, cfg)
 
 
 # --- sampled-cell steps --------------------------------------------------------------
@@ -680,6 +681,41 @@ def test_trial_is_the_scan_trial_bit_for_bit(case, log_l, algorithm, extrapolate
 def test_pg_and_apg_match_the_dense_loop_bit_for_bit(case, algorithm):
     obs, reg, _ = case
     check_against_linear_scan(obs, reg, SolverConfig(algorithm=algorithm, max_iter=30))
+
+
+def edge_instance():
+    """A 50x40 rank-2 instance whose apg iterates bind the ball on the
+    first steps, then sit just outside its edge, then enter it."""
+    reg = FeasibleRegion(d1=50, d2=40, alpha=9.0, beta=1.0, r=2)
+    spec = SynthesisSpec(region=reg, mask_m=0.5 * 50 * 40, seed=0)
+    obs = observe(make_low_rank(spec), spec.mask_m, spec.seed)
+    return obs, reg
+
+
+def test_apg_carries_the_first_sweep_memo_and_keeps_the_dense_loop_bits():
+    # Each projection starts from the memo of the one before: a Gram
+    # shrink, an SVD fallback (eigvalsh first) and an inside point (the
+    # carried basis first) all occur, and the run pays fewer eigh than it
+    # has iterations. The dense loop projects without a memo.
+    obs, reg = edge_instance()
+    cfg = SolverConfig(algorithm="apg", max_iter=60)
+    incoming, eighs = [], []
+    real_project, real_eigh = solvers_mod._alternating_projection, np.linalg.eigh
+
+    def project(u, region, tol, max_iter, memo=None):
+        incoming.append(None if memo is None else memo[0])
+        return real_project(u, region, tol, max_iter, memo)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers_mod, "_alternating_projection", project)
+        mp.setattr(np.linalg, "eigh", lambda a: eighs.append(1) or real_eigh(a))
+        rep = solve(obs, reg, cfg)
+    assert rep.iterations_run == len(incoming) == 60
+    assert incoming[0] is None
+    assert {projections_mod.GRAM, projections_mod.SVD,
+            projections_mod.INSIDE} <= set(incoming)
+    assert len(eighs) < rep.iterations_run
+    check_against_linear_scan(obs, reg, cfg)
 
 
 def test_pg_and_apg_climb_where_counts_exceed_alpha():
@@ -884,6 +920,12 @@ def test_config_validation():
         SolverConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(l0=0.0)
+    # Above the step search's ceiling no rung can be climbed to; at inf
+    # the solve would never move.
+    for l0 in (np.inf, np.nextafter(solvers_mod.BACKTRACK_L_CAP, np.inf)):
+        with pytest.raises(ValueError, match="l0 must be <= 1e"):
+            SolverConfig(l0=l0)
+    SolverConfig(l0=solvers_mod.BACKTRACK_L_CAP)
     with pytest.raises(ValueError):
         SolverConfig(proj_tol=0.0)
 
