@@ -18,6 +18,7 @@ a :class:`BoundReport` is valid exactly when that list is empty.
 import math
 from dataclasses import asdict, dataclass
 
+from .core import _power
 from .errors import NonPositiveParameter
 
 E_SQ_MINUS_2 = math.e**2 - 2.0
@@ -90,7 +91,7 @@ def upper_bound(region, m, constants=BoundConstants()):
 
 def _upper(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
-    t = (alpha - beta) ** 2 / (8.0 * beta)
+    t = _power(alpha - beta, 2) / (8.0 * beta)
     # 8*alpha*T / (1 - exp(-T)), with the T -> 0 limit equal to 8*alpha.
     if t == 0.0:
         curvature = 8.0 * alpha
@@ -129,19 +130,20 @@ def lower_bound(region, m, constants=BoundConstants()):
 def _lower(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
     dmax = max(d1, d2)
-    scaled = k.c2 * alpha**1.5 * math.sqrt(r * dmax / m)
+    scaled = k.c2 * _power(alpha, 1.5) * math.sqrt(r * dmax / m)
     if k.c1 <= scaled:
         value, regime = k.c1, "constant"
     else:
         value, regime = scaled, "scaled"
-    floor = r * alpha**2 / min(d1, d2)
+    alpha_sq = _power(alpha, 2)
+    floor = r * alpha_sq / min(d1, d2)
     failed = [
         (r < 4, f"requires r >= 4, got r={r}"),
         (alpha < 1.0, f"requires alpha >= 1, got alpha={alpha}"),
         (alpha < 2.0 * beta, f"requires alpha >= 2*beta, got alpha={alpha}, beta={beta}"),
-        (alpha**2 * r * dmax < k.c0,
+        (alpha_sq * r * dmax < k.c0,
          f"requires alpha**2 * r * max(d1,d2) >= c0={k.c0}, "
-         f"got {alpha**2 * r * dmax}"),
+         f"got {alpha_sq * r * dmax}"),
         (not value > floor,
          f"bound {value:.6g} does not exceed r*alpha**2/min(d1,d2)={floor:.6g}"),
     ]

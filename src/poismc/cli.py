@@ -21,14 +21,20 @@ Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
 does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
 not a non-empty list of strings or starts with ``rerun``; an ``--out``
 directory that cannot be created), 2 validation,
-3 the error carries a report (a solve failed after its first iterate;
-whichever command ran it then writes that report, the last good
-iterate's, to ``report.json`` under its ``--out``), 4 verification
-violation.
+3 the error carries a report (a solve failed after its first iterate),
+4 verification violation.
+
+Every error a command raises becomes an exit in ``main``, and only
+there. An error that carries a report has that report, the last good
+iterate's, written to ``report.json`` under ``--out`` with its manifest,
+and exits 3; if that write fails, the run exits 1 instead. Every other
+error prints one ``error:`` line. A message of the form ``<field> must
+...``, where the field is the ``dest`` of one of the command's flags, is
+printed with the flag in place of the field (``--iters must ...`` for
+``SolverConfig``'s ``max_iter``); any other message passes unchanged.
 """
 
 import argparse
-import contextlib
 import dataclasses
 import importlib.resources
 import json
@@ -101,23 +107,6 @@ def _write_outputs(args, argv, files, report=None):
     write_json(manifest, os.path.join(out, "manifest.json"))
 
 
-@contextlib.contextmanager
-def _keep_failed_report(args, argv):
-    """On an error that carries a solver report, write it before re-raising.
-
-    The report, the last good iterate's, goes to ``report.json`` under
-    ``"solver"``, with a manifest that lists it, through ``_write_outputs``,
-    which makes ``--out``; ``main`` then exits 3. Only a solve raises
-    such an error.
-    """
-    try:
-        yield
-    except PoismcError as exc:
-        if exc.report is not None:
-            _write_outputs(args, argv, {}, {"solver": exc.report.to_json_dict()})
-        raise
-
-
 def _region_from_args(args):
     return FeasibleRegion(
         d1=args.d1, d2=args.d2, alpha=args.alpha, beta=args.beta, r=args.rank
@@ -125,18 +114,9 @@ def _region_from_args(args):
 
 
 def _solver_config(args):
-    """``SolverConfig`` from the fields a command declares as flags.
-
-    A value out of range raises ``ValueError`` naming the flag, not the
-    field: the message starts with the field, which ``args.flags`` (set
-    by ``build_parser``) maps to the flag.
-    """
+    """``SolverConfig`` from the fields a command declares as flags."""
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    try:
-        return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
-    except ValueError as exc:
-        field, _, rest = str(exc).partition(" ")
-        raise ValueError(f"{args.flags.get(field, field)} {rest}") from None
+    return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 # --- subcommands -----------------------------------------------------------
@@ -216,8 +196,6 @@ def cmd_bounds(args, argv):
 
 
 def cmd_verify(args, argv):
-    if not args.samples >= 1:
-        return _fail(f"--samples must be >= 1, got {args.samples}", EXIT_VALIDATION)
     # Only the box matters for these checks; shape and rank are fixed.
     region = FeasibleRegion(d1=16, d2=16, alpha=args.alpha, beta=args.beta, r=4)
     report = verify_lemmas(region, args.samples, args.seed)
@@ -249,28 +227,28 @@ def cmd_demo_solar(args, argv):
         alpha=args.alpha,
         beta=args.beta,
     )
+    obs = rec.trial.observations
     counts = np.zeros(rec.truth.shape)
-    obs = rec.observations
     counts[obs.rows, obs.cols] = obs.counts
     views = {
         "truth.pgm": to_display(rec.truth, rec.region),
         # Observed view: counts where sampled, dark where missing.
-        "observed.pgm": np.where(rec.mask, to_display(counts, rec.region), 0),
-        "recovered.pgm": to_display(rec.estimate, rec.region),
+        "observed.pgm": np.where(obs.mask(), to_display(counts, rec.region), 0),
+        "recovered.pgm": to_display(rec.trial.report.estimate, rec.region),
     }
     payload = {
         "p": args.p,
-        "mse": rec.mse,
-        "baseline_mse": rec.baseline_mse,
-        "wall_time_sec": rec.wall_time,
-        "solver": rec.report.to_json_dict(),
+        "mse": rec.trial.mse,
+        "baseline_mse": rec.trial.baseline_mse,
+        "wall_time_sec": rec.trial.report.wall_time,
+        "solver": rec.trial.report.to_json_dict(),
     }
     images = {name: (write_image, unpatchify(view, rec.layout))
               for name, view in views.items()}
     _write_outputs(args, argv, images, payload)
     print(
-        f"demo-solar: p={args.p} mse={rec.mse:.4f} "
-        f"baseline={rec.baseline_mse:.4f} wall={rec.wall_time:.3f}s"
+        f"demo-solar: p={args.p} mse={rec.trial.mse:.4f} "
+        f"baseline={rec.trial.baseline_mse:.4f} wall={rec.trial.report.wall_time:.3f}s"
     )
     return EXIT_OK
 
@@ -403,13 +381,19 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with _keep_failed_report(args, argv):
+        try:
             return _COMMANDS[args.command](args, argv)
+        except PoismcError as exc:
+            if exc.report is None:
+                raise
+            _write_outputs(args, argv, {}, {"solver": exc.report.to_json_dict()})
+            return _fail(str(exc), EXIT_SOLVER)
     except (*_IO_ERRORS, PoismcError, ValueError) as exc:
-        code = EXIT_IO if isinstance(exc, _IO_ERRORS) else EXIT_VALIDATION
-        if getattr(exc, "report", None) is not None:
-            code = EXIT_SOLVER
-        return _fail(str(exc), code)
+        # "<field> must ..." names the flag whose dest is the field.
+        field, _, rest = str(exc).partition(" ")
+        named = rest.startswith("must ") and field in args.flags
+        return _fail(f"{args.flags[field]} {rest}" if named else exc,
+                     EXIT_IO if isinstance(exc, _IO_ERRORS) else EXIT_VALIDATION)
 
 
 def entry():

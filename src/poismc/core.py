@@ -188,6 +188,18 @@ def _check_positive_int(name, value):
         raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _power(x, p):
+    """The float ``x ** p``, or ``inf`` where it overflows.
+
+    Python raises ``OverflowError`` there; numpy would read ``inf``.
+    Every finite result keeps the bits of ``**``.
+    """
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
 def as_matrix(x, shape=None):
     """Coerce ``x`` to a 2-D float array, optionally checking its shape."""
     a = np.asarray(x, dtype=float)

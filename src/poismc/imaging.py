@@ -16,12 +16,11 @@ and ``UnsupportedFormat`` names the file.
 """
 
 import re
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FeasibleRegion, as_matrix, mse_per_entry
+from .core import FeasibleRegion, as_matrix
 from .errors import (
     CorruptFile,
     IndivisibleLayout,
@@ -29,8 +28,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .fileio import _opened, read_matrix_csv, write_matrix_csv
-from .solvers import solve
-from .synth import observe
+from .synth import TrialResult, run_trial
 
 PGM_MAXVAL_LIMIT = 65535
 
@@ -185,16 +183,17 @@ def to_display(values, region):
 
 @dataclass(frozen=True)
 class ImageRecovery:
+    """An image's patch layout, solving region and patch-matrix truth, and
+    the :func:`~poismc.synth.run_trial` result that recovered it.
+
+    ``trial`` holds the observations, the solver's report with its
+    estimate and wall time, the MSE and the box-midpoint baseline MSE.
+    """
+
     layout: PatchLayout
     region: FeasibleRegion
     truth: np.ndarray
-    mask: np.ndarray
-    observations: object
-    estimate: np.ndarray
-    mse: float
-    baseline_mse: float
-    report: object
-    wall_time: float
+    trial: TrialResult
 
 
 def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.0):
@@ -202,10 +201,11 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
 
     Pixels are scaled, lifted to at least ``beta`` (rates must be
     positive), and clamped at ``alpha`` (default: the scaled maximum).
-    The patch matrix is masked with expected fraction ``p``, Poisson
-    counts are drawn, and the solver that ``cfg.algorithm`` names
-    recovers the matrix. ``baseline_mse`` scores the constant box-midpoint
-    guess.
+    The patch matrix is the truth of one ``run_trial`` step over the
+    full-rank region of the box: an expected fraction ``p`` of its cells
+    is sampled with seed ``seed``, Poisson counts are drawn, the solver
+    that ``cfg.algorithm`` names recovers the matrix, and the estimate and
+    the constant box-midpoint guess are scored.
     """
     img = as_matrix(image)
     if not 0.0 < p <= 1.0:
@@ -218,21 +218,5 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
     d1, d2 = layout.matrix_shape
     region = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta, r=min(d1, d2))
     truth = patchify(intensities, layout)
-
-    t0 = time.perf_counter()
-    obs = observe(truth, p * d1 * d2, seed)
-    report = solve(obs, region, cfg)
-    wall = time.perf_counter() - t0
-
-    return ImageRecovery(
-        layout=layout,
-        region=region,
-        truth=truth,
-        mask=obs.mask(),
-        observations=obs,
-        estimate=report.estimate,
-        mse=mse_per_entry(truth, report.estimate),
-        baseline_mse=mse_per_entry(truth, region.midpoint()),
-        report=report,
-        wall_time=wall,
-    )
+    trial = run_trial(truth, region, p * d1 * d2, seed, cfg)
+    return ImageRecovery(layout=layout, region=region, truth=truth, trial=trial)

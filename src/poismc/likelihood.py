@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _power, as_matrix
 from .errors import NonPositiveEntryAtObservation, NonPositiveParameter
 
 
@@ -138,7 +138,7 @@ def hellinger_mse_floor(region):
     the T -> 0 limit (alpha == beta) is 1 / (4*alpha).
     """
     alpha, beta = region.alpha, region.beta
-    t = (alpha - beta) ** 2 / (8.0 * beta)
+    t = _power(alpha - beta, 2) / (8.0 * beta)
     if t == 0.0:
         return 1.0 / (4.0 * alpha)
     return -math.expm1(-t) / (4.0 * alpha * t)

@@ -79,8 +79,10 @@ class SolverConfig:
     at ``alpha/beta**2``. ``proj_tol`` and ``proj_max_iter`` drive the
     alternating projection of ``pg``/``apg``; ``proj_tol`` bounds its
     feasibility gap, and gaps at or below the float64 noise floor
-    ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is. ``l0`` is at most
-    ``BACKTRACK_L_CAP``, the ceiling the step search keeps.
+    ``4*sqrt(d1*d2)*eps*||M||_F`` close whatever it is. ``l0`` and
+    ``eta`` are at most ``BACKTRACK_L_CAP``, the ceiling the step search
+    keeps; so ``eta`` is finite, and from any ``l0 <= 1`` the search can
+    climb at least one rung.
     Construction raises ``ValueError`` on an unknown algorithm, a value
     out of range, or an iteration cap that is not an integer.
     """
@@ -101,6 +103,8 @@ class SolverConfig:
                                ("lam", self.lam >= 0.0, ">= 0"),
                                ("l0", self.l0 > 0.0, "> 0"),
                                ("l0", self.l0 <= BACKTRACK_L_CAP,
+                                f"<= {BACKTRACK_L_CAP:.0e}"),
+                               ("eta", self.eta <= BACKTRACK_L_CAP,
                                 f"<= {BACKTRACK_L_CAP:.0e}"),
                                ("proj_tol", self.proj_tol > 0.0, "> 0")):
             if not ok:

@@ -1,8 +1,12 @@
 """Ground-truth synthesis, sampling, and Monte-Carlo experiment harness.
 
-Both experiments observe a truth the same way, through :func:`observe`:
-a Bernoulli cell set of expected size m (:func:`sample_mask`), then one
-Poisson count per sampled cell (:func:`sample_poisson`).
+Both experiments, the synthetic error sweep (:func:`sweep_m`) and the
+image recovery (``imaging.recover_image``), take one step per instance,
+:func:`run_trial`: observe the truth through :func:`observe` (a
+Bernoulli cell set of expected size m from :func:`sample_mask`, then one
+Poisson count per sampled cell from :func:`sample_poisson`), solve over
+a region given apart from the truth, and score the estimate and the box
+midpoint by their per-entry MSE.
 
 Every randomized operation is a deterministic function of (inputs, seed).
 Logical streams (ground truth, sample mask, counts, trial scheduling,
@@ -73,10 +77,16 @@ class SynthesisSpec:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """What :func:`run_trial` observed, the solver's report, and two scores.
+
+    ``mse`` scores ``report.estimate`` and ``baseline_mse`` the constant
+    box-midpoint guess, both per entry against the truth.
+    """
+
+    observations: ObservationSet
+    report: SolverReport
     mse: float
-    m_realized: int
-    solver_report: SolverReport
-    seed: int
+    baseline_mse: float
 
 
 def make_low_rank(spec):
@@ -155,16 +165,23 @@ def observe(truth, m, seed):
     return sample_poisson(truth, sample_mask(d1, d2, m, seed), seed, m_expected=m)
 
 
-def run_trial(spec, cfg):
-    """Synthesize, sample, solve, and score one problem instance."""
-    truth = make_low_rank(spec)
-    obs = observe(truth, spec.mask_m, spec.seed)
-    report = solve(obs, spec.region, cfg)
+def run_trial(truth, region, m, seed, cfg):
+    """Observe, solve and score one instance: the package's one trial step.
+
+    Draws ``observe(truth, m, seed)``, solves it over ``region`` with the
+    solver that ``cfg.algorithm`` names, and scores the estimate and
+    ``region.midpoint()`` against ``truth``. The solving region is an
+    argument of its own, so a truth may be solved over another rank or
+    radius than it was made with. :func:`sweep_m` calls it once per
+    synthetic instance and ``imaging.recover_image`` once per image.
+    """
+    obs = observe(truth, m, seed)
+    report = solve(obs, region, cfg)
     return TrialResult(
+        observations=obs,
+        report=report,
         mse=mse_per_entry(truth, report.estimate),
-        m_realized=len(obs),
-        solver_report=report,
-        seed=spec.seed,
+        baseline_mse=mse_per_entry(truth, region.midpoint()),
     )
 
 
@@ -177,9 +194,11 @@ def sweep_m(spec, m_list, trials, cfg, csv_path=None):
     Runs ``trials`` independent instances per entry of the increasing
     ``m_list``; trial seeds derive from ``spec.seed`` and the (m, trial)
     position so extending the grid or the trial count never reruns
-    differently. Returns one row dict per m and optionally writes the
-    table as CSV. The CSV is opened before the first trial, so a path
-    that cannot be written raises ``IoFailure`` before any trial runs.
+    differently. Each instance is a :func:`make_low_rank` truth put
+    through :func:`run_trial` over ``spec.region``. Returns one row dict
+    per m and optionally writes the table as CSV. The CSV is opened
+    before the first trial, so a path that cannot be written raises
+    ``IoFailure`` before any trial runs.
     """
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise BadM("m_list must be strictly increasing")
@@ -202,20 +221,18 @@ def _sweep_rows(spec, m_list, trials, cfg):
         results = []
         for t in range(trials):
             child = derive_seed(spec.seed, STREAM_TRIAL, mi, t)
-            results.append(run_trial(replace(spec, mask_m=m, seed=child), cfg))
+            truth = make_low_rank(replace(spec, mask_m=m, seed=child))
+            results.append(run_trial(truth, spec.region, m, child, cfg))
         mses = np.array([tr.mse for tr in results])
+        reports = [tr.report for tr in results]
         rows.append(
             {
                 "m": float(m),
                 "trials": trials,
                 "mean_mse": float(mses.mean()),
                 "std_mse": float(mses.std()),
-                "mean_iters": float(
-                    np.mean([tr.solver_report.iterations_run for tr in results])
-                ),
-                "mean_wall_time": float(
-                    np.mean([tr.solver_report.wall_time for tr in results])
-                ),
+                "mean_iters": float(np.mean([rep.iterations_run for rep in reports])),
+                "mean_wall_time": float(np.mean([rep.wall_time for rep in reports])),
             }
         )
     return rows
@@ -261,10 +278,14 @@ def verify_lemmas(region, samples, seed):
     least 1) matrix pairs, and ``100 * samples`` tail draws capped at 1e6.
     """
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {samples}")
     matrix_samples = max(1, samples // 10)
     tail_draws = min(1_000_000, 100 * samples)
     alpha, beta = region.alpha, region.beta
+    # First, so a rate too large to draw from fails before any other work.
+    tail = poisson_tail_check(
+        alpha, poisson_tail_threshold(alpha), tail_draws, seed
+    )
 
     rng = substream(seed, STREAM_SCALARS)
     x = rng.uniform(beta, alpha, size=samples)
@@ -281,9 +302,6 @@ def verify_lemmas(region, samples, seed):
         if hellinger_sq_matrix(p, q) < floor * mse_per_entry(p, q) - 1e-15:
             floor_violations += 1
 
-    tail = poisson_tail_check(
-        alpha, poisson_tail_threshold(alpha), tail_draws, seed
-    )
     return {
         "schema_version": SCHEMA_VERSION,
         "kl_quadratic": {"samples": int(samples), "violations": kl_violations},

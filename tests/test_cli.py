@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -149,6 +150,10 @@ def test_complete_nan_lambda_exits_2_before_the_out_directory(tmp_path, capsys):
     # Infinity, which is not JSON.
     ("--l0", "inf", "--l0 must be <= 1e+15, got inf"),
     ("--eta", "1", "--eta must be > 1, got 1.0"),
+    # Past the step search's ceiling the search could not climb one rung
+    # from l0, and the solve failed after 0 iterations.
+    ("--eta", "inf", "--eta must be <= 1e+15, got inf"),
+    ("--eta", "1e308", "--eta must be <= 1e+15, got 1e+308"),
     ("--proj-tol", "0", "--proj-tol must be > 0, got 0.0"),
     ("--proj-max-iter", "0", "--proj-max-iter must be an integer >= 1, got 0"),
 ])
@@ -217,6 +222,24 @@ def test_complete_solver_failure_exit_3(tmp_path, capsys):
     report = read_json(out / "report.json")
     assert report["solver"]["termination"] == "ProjectionFailure"
     assert report["solver"]["iterations_run"] == 0
+
+
+def test_complete_solver_failure_with_an_uncreatable_out_exits_1(tmp_path, capsys):
+    # The failed solve's report cannot be written: the write error wins,
+    # as one line, and the solver's own message is not printed.
+    obs, reg = binding_instance(0)
+    write_observations_csv(obs, tmp_path / "obs.csv")
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    out = afile / "sub"
+    rc = run("complete", "--obs", str(tmp_path / "obs.csv"),
+             "--d1", str(reg.d1), "--d2", str(reg.d2), "--rank", str(reg.r),
+             "--alpha", str(reg.alpha), "--beta", str(reg.beta),
+             "--algo", "pg", "--proj-max-iter", "1", "--out", str(out))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_complete_mid_solve_failure_writes_its_report_and_exits_3(tmp_path,
@@ -470,8 +493,30 @@ def test_verify_tiny_sample_budget(tmp_path):
 def test_verify_zero_samples_exits_2_before_the_out_directory(tmp_path, capsys):
     out = tmp_path / "v"
     assert run("verify", "--samples", "0", "--out", str(out)) == 2
-    assert "--samples must be >= 1" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --samples must be >= 1, got 0\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["1e200", "1e300"])
+def test_bounds_for_a_box_too_large_to_square_read_inf(alpha, capsys):
+    # FeasibleRegion accepts the box, and (alpha - beta)**2 overflows.
+    assert run("bounds", "--d1", "4", "--d2", "4", "--rank", "4", "--alpha", alpha,
+               "--beta", "1", "--m", "5", "--json") == 0
+    stdout, err = capsys.readouterr()
+    payload = json.loads(stdout)
+    assert err == ""
+    assert payload["upper"]["value"] == math.inf and payload["upper"]["valid"]
+    assert payload["lower"]["reason"].endswith("r*alpha**2/min(d1,d2)=inf")
+
+
+def test_verify_on_a_box_too_large_to_square_is_no_crash(tmp_path, capsys):
+    out = tmp_path / "v"
+    rc = run("verify", "--samples", "5", "--alpha", "1e308", "--out", str(out))
+    err = capsys.readouterr().err
+    assert rc in (0, 2) and "Traceback" not in err
+    if rc == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_verify_violation_exits_4_and_keeps_its_outputs(tmp_path, monkeypatch,
@@ -571,7 +616,19 @@ def test_malformed_input_exits_1_with_one_error_line(command, name, content,
 def test_demo_rejects_bad_fraction(tmp_path, capsys):
     out = tmp_path / "d"
     assert run("demo-solar", "--p", "1.5", "--out", str(out)) == 2
-    assert "p must be in (0, 1], got 1.5" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --p must be in (0, 1], got 1.5\n"
+    assert not out.exists()
+
+
+def test_demo_message_that_only_starts_with_a_dest_is_not_renamed(tmp_path, capsys):
+    # numpy's "lam value too large" starts with the dest of --lambda but is
+    # no "<field> must ..." message, so it is printed as numpy words it.
+    out = tmp_path / "d"
+    assert run("demo-solar", "--scale", "1e300", "--iters", "1",
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lam ") and err.count("\n") == 1
+    assert "--lambda" not in err
     assert not out.exists()
 
 
@@ -595,13 +652,14 @@ def test_demo_observed_view_is_dark_exactly_where_unobserved(tmp_path):
                "--out", str(out)) == 0
     rec = recover_image(read_image(default_demo_image()), 0.5,
                         SolverConfig(max_iter=5), seed=5)
-    obs = rec.observations
+    obs = rec.trial.observations
+    mask = obs.mask()
     counts = np.zeros(rec.truth.shape)
     counts[obs.rows, obs.cols] = obs.counts
     observed = patchify(read_image(out / "observed.pgm"), rec.layout)
-    assert 0 < rec.mask.sum() < rec.mask.size
-    assert np.all(observed[~rec.mask] == 0)
-    assert np.array_equal(observed[rec.mask], to_display(counts, rec.region)[rec.mask])
+    assert 0 < mask.sum() < mask.size
+    assert np.all(observed[~mask] == 0)
+    assert np.array_equal(observed[mask], to_display(counts, rec.region)[mask])
 
 
 # --- output directory ----------------------------------------------------------------

@@ -8,6 +8,7 @@ from poismc import (
     patchify,
     read_image,
     recover_image,
+    run_trial,
     unpatchify,
     write_image,
 )
@@ -192,5 +193,25 @@ def test_recover_image_runs_the_configured_algorithm():
     image = np.add.outer(np.arange(16.0), np.arange(16.0)) % 7 + 1
     cfg = SolverConfig(algorithm="apg", max_iter=5)
     rec = recover_image(image, 0.8, cfg, seed=1, patch=4)
-    assert rec.report.algorithm == "apg"
-    assert rec.report.iterations_run == 5
+    assert rec.trial.report.algorithm == "apg"
+    assert rec.trial.report.iterations_run == 5
+
+
+def test_recover_image_is_one_trial_on_the_patch_matrix():
+    # The image pipeline adds a layout and a region to run_trial, nothing
+    # more: the same draws, estimate, trace and scores, bit for bit.
+    image = np.add.outer(np.arange(16.0), np.arange(16.0)) % 7 + 1
+    cfg = SolverConfig(algorithm="apg", max_iter=20)
+    rec = recover_image(image, 0.6, cfg, seed=3, patch=4)
+    assert rec.trial.report.iterations_run == 20
+    layout = PatchLayout(16, 16, 4, 4)
+    d1, d2 = layout.matrix_shape
+    region = FeasibleRegion(d1=d1, d2=d2, alpha=7.0, beta=1.0, r=min(d1, d2))
+    trial = run_trial(patchify(image, layout), region, 0.6 * d1 * d2, 3, cfg)
+    for name in ("rows", "cols", "counts"):
+        assert np.array_equal(getattr(rec.trial.observations, name),
+                              getattr(trial.observations, name))
+    assert rec.trial.report.estimate.tobytes() == trial.report.estimate.tobytes()
+    assert (rec.trial.report.objective_trace.tobytes()
+            == trial.report.objective_trace.tobytes())
+    assert (rec.trial.mse, rec.trial.baseline_mse) == (trial.mse, trial.baseline_mse)

@@ -226,6 +226,12 @@ def test_floor_value_frozen():
     )
 
 
+def test_floor_of_a_box_too_large_to_square_is_zero():
+    # (alpha - beta)**2 overflows: T reads inf, and the floor its limit 0.
+    reg = FeasibleRegion(d1=2, d2=2, alpha=1e300, beta=1.0, r=1)
+    assert hellinger_mse_floor(reg) == 0.0
+
+
 def test_floor_inequality_monte_carlo():
     rng = np.random.default_rng(13)
     reg = FeasibleRegion(d1=6, d2=4, alpha=9.0, beta=1.0, r=2)

@@ -926,6 +926,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="l0 must be <= 1e"):
             SolverConfig(l0=l0)
     SolverConfig(l0=solvers_mod.BACKTRACK_L_CAP)
+    # A factor past the ceiling cannot climb one rung from l0 <= 1.
+    for eta in (np.inf, np.nextafter(solvers_mod.BACKTRACK_L_CAP, np.inf)):
+        with pytest.raises(ValueError, match="eta must be <= 1e"):
+            SolverConfig(eta=eta)
+    SolverConfig(eta=solvers_mod.BACKTRACK_L_CAP)
     with pytest.raises(ValueError):
         SolverConfig(proj_tol=0.0)
 

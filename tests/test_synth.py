@@ -13,6 +13,7 @@ from poismc import (
     make_low_rank,
     membership,
     mse_per_entry,
+    nuclear_norm,
     poisson_tail_check,
     run_trial,
     sample_mask,
@@ -176,18 +177,19 @@ def test_trial_full_observation_constant_truth_recovers():
     reg = FeasibleRegion(d1=2, d2=2, alpha=2.0, beta=2.0, r=1)
     s = SynthesisSpec(region=reg, mask_m=4.0, seed=1)
     cfg = SolverConfig(algorithm="pg", max_iter=200)
-    res = run_trial(s, cfg)
+    res = run_trial(make_low_rank(s), reg, 4.0, 1, cfg)
     assert res.mse < 1e-2
-    assert res.m_realized == 4
+    assert len(res.observations) == 4
 
 
 def test_trial_deterministic():
     cfg = SolverConfig(algorithm="pg", max_iter=30)
-    a = run_trial(spec(), cfg)
-    b = run_trial(spec(), cfg)
+    s = spec()
+    a = run_trial(make_low_rank(s), s.region, s.mask_m, s.seed, cfg)
+    b = run_trial(make_low_rank(s), s.region, s.mask_m, s.seed, cfg)
     assert a.mse == b.mse
-    assert a.m_realized == b.m_realized
-    assert np.array_equal(a.solver_report.estimate, b.solver_report.estimate)
+    assert len(a.observations) == len(b.observations)
+    assert np.array_equal(a.report.estimate, b.report.estimate)
 
 
 def test_trial_beats_baseline_on_suite():
@@ -195,12 +197,32 @@ def test_trial_beats_baseline_on_suite():
     wins = 0
     for seed in range(10):
         s = spec(d1=10, d2=8, r=2, alpha=20.0, beta=1.0, m=0.8 * 80, seed=seed)
-        res = run_trial(s, cfg)
         truth = make_low_rank(s)
+        res = run_trial(truth, s.region, s.mask_m, s.seed, cfg)
         baseline = np.full((10, 8), (20.0 + 1.0) / 2.0)
-        if res.mse <= mse_per_entry(truth, baseline):
+        assert res.baseline_mse == mse_per_entry(truth, baseline)
+        if res.mse <= res.baseline_mse:
             wins += 1
     assert wins >= 8
+
+
+def test_trial_solves_over_its_own_region_not_the_truths():
+    # A rank-2 truth solved by pg over the r=1 ball, 1/sqrt(2) of the
+    # radius of the truth's r=2 ball: the draws are the same, and only the
+    # solve over the smaller ball ends inside it (pmlsv does not use the ball).
+    made = FeasibleRegion(d1=20, d2=16, alpha=3.0, beta=0.5, r=2)
+    small = FeasibleRegion(d1=20, d2=16, alpha=3.0, beta=0.5, r=1)
+    truth = make_low_rank(SynthesisSpec(region=made, mask_m=320.0, seed=0))
+    cfg = SolverConfig(algorithm="pg", max_iter=50)
+    inside = run_trial(truth, small, 320.0, 0, cfg)
+    outside = run_trial(truth, made, 320.0, 0, cfg)
+    assert np.array_equal(inside.observations.counts, outside.observations.counts)
+    assert nuclear_norm(outside.report.estimate) > small.nuclear_radius
+    # The projection leaves its point within proj_tol (Frobenius) of the
+    # ball, so within sqrt(min(d1, d2)) * proj_tol of it in nuclear norm.
+    tol = math.sqrt(16) * cfg.proj_tol
+    assert membership(inside.report.estimate, small, tol=tol).in_nuclear_ball
+    assert inside.mse < outside.mse
 
 
 # --- sweep ---------------------------------------------------------------------------
