@@ -47,6 +47,8 @@ class BoundReport:
     ``regime`` names which formula fired; when ``valid`` is False,
     ``reason`` lists every failed hypothesis and ``value`` is still the
     raw formula value when it is computable (NaN otherwise).
+    ``to_json_dict`` writes a non-finite ``value`` as None, since JSON
+    has no infinity or NaN.
     """
 
     value: float
@@ -56,7 +58,12 @@ class BoundReport:
     constants: BoundConstants
 
     def to_json_dict(self):
-        return asdict(self)
+        return {**asdict(self), "value": _finite_or_none(self.value)}
+
+
+def _finite_or_none(x):
+    """``x``, or None where it is None, infinite or NaN."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def _report(formula, region, m, constants):

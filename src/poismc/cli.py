@@ -10,6 +10,12 @@ Every file-writing command drops a ``manifest.json`` next to its
 outputs; re-running through the manifest reproduces the artifacts.
 All randomness flows from ``--seed``.
 
+A flag that sets a field of one of the package's types stores to that
+field (``--rank`` to ``FeasibleRegion.r``, ``--iters`` to
+``SolverConfig.max_iter``, ``simulate --m`` to ``SynthesisSpec.mask_m``),
+and ``_build`` makes the type from the flags a command has. The types
+check their own fields, so the commands do not check them again.
+
 ``--out`` is made in one place, ``_write_outputs``, just before the
 first file is written: after every input file is read (so ``complete
 --truth`` is read and checked against ``(d1, d2)`` before the solve),
@@ -31,7 +37,8 @@ and exits 3; if that write fails, the run exits 1 instead. Every other
 error prints one ``error:`` line. A message of the form ``<field> must
 ...``, where the field is the ``dest`` of one of the command's flags, is
 printed with the flag in place of the field (``--iters must ...`` for
-``SolverConfig``'s ``max_iter``); any other message passes unchanged.
+``SolverConfig``'s ``max_iter``, ``--alpha must ...`` for
+``FeasibleRegion``'s ``alpha``); any other message passes unchanged.
 """
 
 import argparse
@@ -44,7 +51,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import BoundConstants, lower_bound, upper_bound
+from .bounds import BoundConstants, _finite_or_none, lower_bound, upper_bound
 from .core import FeasibleRegion, as_matrix, mse_per_entry
 from .errors import CorruptFile, IoFailure, PoismcError, UnsupportedFormat
 from .fileio import (
@@ -107,28 +114,19 @@ def _write_outputs(args, argv, files, report=None):
     write_json(manifest, os.path.join(out, "manifest.json"))
 
 
-def _region_from_args(args):
-    return FeasibleRegion(
-        d1=args.d1, d2=args.d2, alpha=args.alpha, beta=args.beta, r=args.rank
-    )
-
-
-def _solver_config(args):
-    """``SolverConfig`` from the fields a command declares as flags."""
-    fields = {f.name for f in dataclasses.fields(SolverConfig)}
-    return SolverConfig(**{k: v for k, v in vars(args).items() if k in fields})
+def _build(cls, args, **given):
+    """``cls(**given)`` plus every field of ``cls`` a flag of ``args`` stores."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in fields}, **given)
 
 
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_simulate(args, argv):
-    region = _region_from_args(args)
-    if not 0 < args.m <= args.d1 * args.d2:
-        return _fail(f"--m must be in (0, d1*d2]={args.d1 * args.d2}, got {args.m}",
-                     EXIT_VALIDATION)
-    truth = make_low_rank(SynthesisSpec(region=region, mask_m=args.m, seed=args.seed))
-    obs = observe(truth, args.m, args.seed)
+    spec = _build(SynthesisSpec, args, region=_build(FeasibleRegion, args))
+    truth = make_low_rank(spec)
+    obs = observe(truth, spec.mask_m, spec.seed)
     _write_outputs(args, argv, {"truth.csv": (write_matrix_csv, truth),
                                 "observations.csv": (write_observations_csv, obs)})
     print(f"simulate: wrote {len(obs)} observations to {args.out}")
@@ -136,9 +134,9 @@ def cmd_simulate(args, argv):
 
 
 def cmd_complete(args, argv):
-    region = _region_from_args(args)
+    region = _build(FeasibleRegion, args)
     obs = read_observations_csv(args.obs, args.d1, args.d2)
-    cfg = _solver_config(args)
+    cfg = _build(SolverConfig, args)
     if args.baseline and args.truth is None:
         return _fail("--baseline requires --truth", EXIT_VALIDATION)
     if args.truth is not None:
@@ -159,12 +157,10 @@ def cmd_complete(args, argv):
 
 
 def cmd_bounds(args, argv):
-    region = _region_from_args(args)
+    region = _build(FeasibleRegion, args)
     if not args.m > 0:
         return _fail(f"--m must be > 0, got {args.m}", EXIT_VALIDATION)
-    constants = BoundConstants(
-        c_prime=args.c_prime, c0=args.c0, c1=args.c1, c2=args.c2
-    )
+    constants = _build(BoundConstants, args)
     ub = upper_bound(region, args.m, constants)
     lb = lower_bound(region, args.m, constants)
     if ub.valid and lb.valid:
@@ -178,11 +174,12 @@ def cmd_bounds(args, argv):
         "schema_version": SCHEMA_VERSION,
         "upper": ub.to_json_dict(),
         "lower": lb.to_json_dict(),
-        "gap": gap,
+        "gap": _finite_or_none(gap),
         "gap_reason": gap_reason,
     }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # JSON has no inf or NaN: one that reaches here raises, not prints.
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(f"{'quantity':<12}{'value':<16}{'regime':<12}valid  reason")
         for name, rep in (("upper", ub), ("lower", lb)):
@@ -197,7 +194,7 @@ def cmd_bounds(args, argv):
 
 def cmd_verify(args, argv):
     # Only the box matters for these checks; shape and rank are fixed.
-    region = FeasibleRegion(d1=16, d2=16, alpha=args.alpha, beta=args.beta, r=4)
+    region = _build(FeasibleRegion, args, d1=16, d2=16, r=4)
     report = verify_lemmas(region, args.samples, args.seed)
     _write_outputs(args, argv, {"verify.json": (write_json, report)})
     deterministic_violations = (
@@ -216,11 +213,10 @@ def cmd_verify(args, argv):
 
 def cmd_demo_solar(args, argv):
     image = read_image(args.image if args.image else default_demo_image())
-    cfg = _solver_config(args)
     rec = recover_image(
         image,
         args.p,
-        cfg,
+        _build(SolverConfig, args),
         seed=args.seed,
         patch=args.patch,
         scale=args.scale,
@@ -283,7 +279,8 @@ def build_parser():
     def add_region(p):
         p.add_argument("--d1", type=int, required=True, help="row count")
         p.add_argument("--d2", type=int, required=True, help="column count")
-        p.add_argument("--rank", type=int, required=True, help="rank budget")
+        p.add_argument("--rank", dest="r", metavar="RANK", type=int, required=True,
+                       help="rank budget")
         p.add_argument("--alpha", type=float, required=True, help="entry upper bound")
         p.add_argument("--beta", type=float, required=True, help="entry lower bound")
 
@@ -299,7 +296,8 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="synthesize truth and observations")
     add_region(p)
-    p.add_argument("--m", type=float, required=True, help="expected sample count")
+    p.add_argument("--m", dest="mask_m", metavar="M", type=float, required=True,
+                   help="expected sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="./run", help="output directory")
 

@@ -59,6 +59,15 @@ class FeasibleRegion:
         """The constant guess at the box midpoint ``(alpha + beta) / 2``."""
         return np.full(self.shape, (self.alpha + self.beta) / 2)
 
+    def clip(self, x, out=None):
+        """``x`` clamped into the box ``[beta, alpha]``, into ``out`` if given.
+
+        The Frobenius-nearest box point; a NaN entry stays NaN. ``x`` is an
+        array: its ``clip`` method is ``np.clip`` without the dispatch,
+        which costs about a microsecond a call.
+        """
+        return x.clip(self.beta, self.alpha, out=out)
+
 
 def validate_region(region):
     """Raise unless ``region`` satisfies every invariant.
@@ -71,20 +80,25 @@ def validate_region(region):
         not 0 < beta <= alpha, or a bound is non-finite.
     BadRank
         r non-integer or outside 1..min(d1, d2).
+
+    The range errors start with the field's name (``alpha must ...``), so
+    the CLI can name the flag that sets it. The nuclear radius needs no
+    check: with 0 < beta <= alpha finite and r, d1, d2 >= 1 it is at
+    least alpha.
     """
     d1, d2 = region.d1, region.d2
     _check_shape(d1, d2)
     alpha, beta = float(region.alpha), float(region.beta)
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise BadBounds(f"bounds must be finite, got alpha={alpha}, beta={beta}")
-    if not 0.0 < beta <= alpha:
-        raise BadBounds(f"need 0 < beta <= alpha, got beta={beta}, alpha={alpha}")
+    if not beta > 0.0:
+        raise BadBounds(f"beta must be > 0, got {beta}")
+    if not alpha >= beta:
+        raise BadBounds(f"alpha must be >= beta={beta}, got {alpha}")
     if not isinstance(region.r, (int, np.integer)):
         raise BadRank(f"r must be an integer, got {region.r!r}")
     if not 1 <= region.r <= min(d1, d2):
-        raise BadRank(f"need 1 <= r <= min(d1, d2)={min(d1, d2)}, got r={region.r}")
-    if not region.nuclear_radius > 0.0:
-        raise BadBounds("derived nuclear radius must be strictly positive")
+        raise BadRank(f"r must be in [1, min(d1, d2)={min(d1, d2)}], got {region.r}")
 
 
 def _check_shape(d1, d2):

@@ -5,10 +5,12 @@ class PoismcError(Exception):
     """Base class for every error this package raises deliberately.
 
     ``report`` is ``None`` unless the error left a loop that had a last
-    good state to hand back. ``NoConvergence`` carries the
-    ``ProjectionReport`` of the last sweep. An error raised inside a
-    solver's iterations carries the ``SolverReport`` of the last good
-    iterate, with ``termination`` set to the error's class name.
+    good state to hand back. A ``ProjectionFailure`` raised by
+    ``alternating_projection`` carries the ``ProjectionReport`` of its
+    last sweep. Any error raised inside a solver's iterations, that one
+    included, leaves the solver as it was raised, with ``report``
+    replaced by the ``SolverReport`` of the last good iterate, whose
+    ``termination`` is the error's class name.
     """
 
     def __init__(self, message, report=None):
@@ -23,7 +25,10 @@ class BadShape(PoismcError):
 
 
 class BadBounds(PoismcError):
-    """Entry bounds violate 0 < beta <= alpha."""
+    """Entry bounds violate 0 < beta <= alpha, or a rate is too large to draw.
+
+    numpy's Poisson sampler refuses rates above ``synth.POISSON_RATE_MAX``.
+    """
 
 
 class BadRank(PoismcError):
@@ -60,21 +65,17 @@ class SvdFailure(PoismcError):
     """The underlying SVD routine did not converge."""
 
 
-class NoConvergence(PoismcError):
+class ProjectionFailure(PoismcError):
     """Alternating projection hit its iteration cap with gap above tolerance.
 
-    Carries the partial result in ``.report``.
+    Raised by ``alternating_projection`` with the ``ProjectionReport`` of
+    the last sweep in ``.report``; a solver whose projection fails passes
+    it on with the ``SolverReport`` of the last good iterate there
+    instead.
     """
 
 
 # --- solvers -----------------------------------------------------------------
-
-class ProjectionFailure(PoismcError):
-    """A solver's feasibility projection failed to converge.
-
-    Carries the partial solver state in ``.report``.
-    """
-
 
 class BacktrackOverflow(PoismcError):
     """Backtracking inflated the reciprocal step size past 1e15."""

@@ -170,7 +170,7 @@ def to_display(values, region):
     Rounds half-up; out-of-range intensities are clipped first. A
     degenerate region (alpha == beta) maps to mid-gray.
     """
-    v = np.clip(np.asarray(values, dtype=float), region.beta, region.alpha)
+    v = region.clip(np.asarray(values, dtype=float))
     span = region.alpha - region.beta
     if span == 0.0:
         return np.full(v.shape, 127, dtype=np.int64)
@@ -199,8 +199,9 @@ class ImageRecovery:
 def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.0):
     """Run the image-recovery pipeline on a grayscale grid.
 
-    Pixels are scaled, lifted to at least ``beta`` (rates must be
-    positive), and clamped at ``alpha`` (default: the scaled maximum).
+    Pixels are scaled and clamped into the box ``[beta, alpha]``: lifted
+    to at least ``beta`` (rates must be positive) and capped at ``alpha``
+    (default: the scaled maximum, or ``beta`` if that is larger).
     The patch matrix is the truth of one ``run_trial`` step over the
     full-rank region of the box: an expected fraction ``p`` of its cells
     is sampled with seed ``seed``, Poisson counts are drawn, the solver
@@ -211,12 +212,11 @@ def recover_image(image, p, cfg, seed=0, patch=8, scale=1.0, alpha=None, beta=1.
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must be in (0, 1], got {p}")
     layout = PatchLayout(img.shape[0], img.shape[1], patch, patch)
-    intensities = np.maximum(img * scale, beta)
+    scaled = img * scale
     if alpha is None:
-        alpha = float(intensities.max())
-    intensities = np.minimum(intensities, alpha)
+        alpha = float(np.maximum(scaled.max(), beta))
     d1, d2 = layout.matrix_shape
     region = FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta, r=min(d1, d2))
-    truth = patchify(intensities, layout)
+    truth = patchify(region.clip(scaled), layout)
     trial = run_trial(truth, region, p * d1 * d2, seed, cfg)
     return ImageRecovery(layout=layout, region=region, truth=truth, trial=trial)

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_positive_int, _svd, as_matrix
-from .errors import BadRadius, BadTau, NoConvergence
+from .errors import BadRadius, BadTau, ProjectionFailure
 
 EPS = float(np.finfo(float).eps)
 TINY_NORMAL = float(np.finfo(float).tiny)
@@ -179,8 +179,7 @@ class ProjectionReport:
 
 def project_box(x, region):
     """Clamp entries into [beta, alpha]; the Frobenius-nearest box point."""
-    x = as_matrix(x, shape=region.shape)
-    return np.clip(x, region.beta, region.alpha)
+    return region.clip(as_matrix(x, shape=region.shape))
 
 
 def project_nuclear_ball(x, radius):
@@ -468,9 +467,11 @@ def alternating_projection(u0, region, tol=1e-6, max_iter=500):
 
     Raises
     ------
-    NoConvergence
+    ProjectionFailure
         ``max_iter`` reached with gap above ``tol``; the exception's
-        ``report`` attribute carries the last iterate anyway.
+        ``report`` is the ``ProjectionReport`` of the last sweep, whose
+        result lies in the box. The solvers let the kernel's error pass
+        through as it is, with their own report in its place.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -508,11 +509,11 @@ def _alternating_projection(u, region, tol, max_iter, memo=None):
                                         vectors=j == 1 and path != SVD)
         if j == 1:
             memo = (path, basis)
-        u = v.clip(region.beta, region.alpha)
+        u = region.clip(v)
         gap = _fro_norm(v - u)
         if gap <= tol or gap <= noise * _fro_norm(u):
             return ProjectionReport(result=u, iterations=j, final_gap=gap), memo
     report = ProjectionReport(result=u, iterations=max_iter, final_gap=gap)
-    raise NoConvergence(
+    raise ProjectionFailure(
         f"gap {gap:.3e} > tol {tol:.3e} after {max_iter} iterations", report
     )

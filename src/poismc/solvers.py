@@ -40,8 +40,8 @@ cast is exact, so every product and quotient with them keeps its
 bits. Inputs are checked where they enter (``SolverConfig``,
 ``FeasibleRegion``, ``ObservationSet``, ``_start``); inside the loop the
 solvers call the unchecked kernels ``_svt`` and
-``_alternating_projection`` and clip with ``np.maximum`` and
-``np.minimum`` in place. The per-trial arithmetic (the gap, the
+``_alternating_projection`` and clip with ``FeasibleRegion.clip`` in
+place. The per-trial arithmetic (the gap, the
 likelihood, the shrink) works in place on as few temporaries as it can,
 with the operations of the plain expressions in their order, so it
 keeps their bits.
@@ -49,7 +49,9 @@ keeps their bits.
 Objective values are recorded after the prox step of each iteration,
 so the trace length equals the number of iterations run. A run either
 returns its report or raises a ``PoismcError`` that carries the report
-of the last good iterate (see ``solve``).
+of the last good iterate (see ``solve``). The error is the one that was
+raised inside the loop, a projection's ``ProjectionFailure`` too, with
+that report attached: nothing is translated or chained.
 """
 
 import time
@@ -58,8 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import _check_positive_int
-from .errors import (BacktrackOverflow, NoConvergence, PoismcError,
-                     ProjectionFailure, ShapeMismatch)
+from .errors import BacktrackOverflow, PoismcError, ShapeMismatch
 from .likelihood import _sampled_gradient, _sampled_nll, lipschitz_constant
 from .projections import _alternating_projection, _svt
 
@@ -165,7 +166,7 @@ def init_matrix(obs, region):
         )
     m0 = region.midpoint()
     m0[obs.rows, obs.cols] = obs.counts
-    return np.clip(m0, region.beta, region.alpha)
+    return region.clip(m0, out=m0)
 
 
 def _finish(algorithm, m, trace, termination, t_start, final_l, region, gaps):
@@ -257,8 +258,7 @@ def _prox(algorithm, cfg, region):
             # Clipped in place: a second matrix per trial made the allocator
             # return pages and fault them in again (+12% on pmlsv-d200).
             m_next = _svt(w, cfg.lam / l)
-            np.maximum(m_next, region.beta, out=m_next)
-            return np.minimum(m_next, region.alpha, out=m_next)
+            return region.clip(m_next, out=m_next)
         return shrink
     memo = None
 
@@ -324,8 +324,10 @@ def _proximal_gradient(algorithm, obs, region, cfg):
     pmlsv at ``l0``; the accepted L carries over. apg then sets
     ``z = M_k + (k-1)/(k+2) * (M_k - M_{k-1})``, which can leave the box
     (the gradient's positivity check catches that), the others
-    ``z = M_k``. A ``PoismcError`` leaves with the report of the last
-    good iterate; a ``NoConvergence`` leaves as ``ProjectionFailure``.
+    ``z = M_k``. A ``PoismcError`` raised in the loop, the projection's
+    ``ProjectionFailure`` among them, is re-raised as it is, with its
+    ``report`` replaced by the ``SolverReport`` of the last good
+    iterate.
     """
     t_start, m, flat, y = _start(obs, region)
     pmlsv, accelerate = algorithm == "pmlsv", algorithm == "apg"
@@ -351,12 +353,9 @@ def _proximal_gradient(algorithm, obs, region, cfg):
                 termination = "QGapSmall"
                 break
     except PoismcError as exc:
-        err = ProjectionFailure(str(exc)) if isinstance(exc, NoConvergence) else exc
-        err.report = _finish(algorithm, m, trace, type(err).__name__, t_start,
+        exc.report = _finish(algorithm, m, trace, type(exc).__name__, t_start,
                              l, region, gaps)
-        if err is exc:
-            raise
-        raise err from exc
+        raise
     return _finish(algorithm, m, trace, termination, t_start, l, region, gaps)
 
 

@@ -24,6 +24,7 @@ import numpy as np
 from .core import FeasibleRegion, ObservationSet, _check_positive_int, mse_per_entry
 from .bounds import poisson_tail_threshold, tail_bound
 from .errors import (
+    BadBounds,
     BadM,
     DegenerateRange,
     NonPositiveIntensity,
@@ -44,6 +45,10 @@ STREAM_MATRICES = 5
 STREAM_TAIL = 6
 
 _SEED_MASK = (1 << 64) - 1
+
+# The largest rate numpy's ``Generator.poisson`` draws from; it refuses
+# the next double up with "lam value too large".
+POISSON_RATE_MAX = 9.223372006484771e18
 
 
 def substream(seed, *path):
@@ -70,9 +75,25 @@ class SynthesisSpec:
     seed: int
 
     def __post_init__(self):
-        cells = self.region.d1 * self.region.d2
-        if not 0 < self.mask_m <= cells:
-            raise BadM(f"mask_m must be in (0, {cells}], got {self.mask_m}")
+        _check_m("mask_m", self.mask_m, self.region.d1 * self.region.d2)
+
+
+def _check_m(name, m, cells):
+    """Raise ``BadM`` unless the expected sample count ``0 < m <= cells``."""
+    if not 0 < m <= cells:
+        raise BadM(f"{name} must be in (0, {cells}], got {m}")
+
+
+def _check_rates(lam):
+    """Raise ``BadBounds`` unless numpy can draw at every rate in ``lam``.
+
+    The message names ``alpha``, the rate cap of the box every caller in
+    the package draws from, so the CLI names the flag that sets it.
+    """
+    top = float(np.max(lam, initial=0.0))
+    if not top <= POISSON_RATE_MAX:
+        raise BadBounds(f"alpha must be <= {POISSON_RATE_MAX!r} for Poisson draws, "
+                        f"got a rate of {top!r}")
 
 
 @dataclass(frozen=True)
@@ -127,14 +148,17 @@ def make_low_rank(spec):
 
 def sample_mask(d1, d2, m, seed):
     """Bernoulli cell mask with inclusion probability ``m / (d1*d2)``."""
-    if not 0 < m <= d1 * d2:
-        raise BadM(f"m must be in (0, {d1 * d2}], got {m}")
+    _check_m("m", m, d1 * d2)
     rng = substream(seed, STREAM_MASK)
     return rng.random((d1, d2)) < m / (d1 * d2)
 
 
 def sample_poisson(truth, mask, seed, m_expected=None):
-    """Draw one Poisson count per masked cell of ``truth``."""
+    """Draw one Poisson count per masked cell of ``truth``.
+
+    Raises ``NonPositiveIntensity`` for a rate <= 0 on the mask and
+    ``BadBounds`` for one above ``POISSON_RATE_MAX``.
+    """
     truth = np.asarray(truth, dtype=float)
     mask = np.asarray(mask, dtype=bool)
     if truth.shape != mask.shape:
@@ -143,6 +167,7 @@ def sample_poisson(truth, mask, seed, m_expected=None):
     lam = truth[rows, cols]
     if np.any(lam <= 0.0):
         raise NonPositiveIntensity("rates must be > 0 on the mask")
+    _check_rates(lam)
     rng = substream(seed, STREAM_COUNTS)
     counts = rng.poisson(lam)
     return ObservationSet(
@@ -243,11 +268,13 @@ def poisson_tail_check(lam, t, draws, seed):
 
     Counts draws with ``Y - lam >= t`` and compares the empirical
     frequency against ``exp(-t)`` plus three binomial standard errors.
+    ``lam`` above ``POISSON_RATE_MAX`` raises ``BadBounds``.
     """
     if not lam > 0:
         raise NonPositiveIntensity(f"lam must be > 0, got {lam}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
+    _check_rates(lam)
     rng = substream(seed, STREAM_TAIL)
     y = rng.poisson(lam, size=int(draws))
     events = int(np.sum(y - lam >= t))

@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import math
 import os
 import tempfile
 import warnings
@@ -13,8 +12,8 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from poismc import (
-    BoundConstants, FeasibleRegion, SolverConfig, init_matrix, lower_bound,
-    nuclear_norm, upper_bound, verify_lemmas,
+    BoundConstants, FeasibleRegion, SolverConfig, SynthesisSpec, init_matrix,
+    lower_bound, nuclear_norm, upper_bound, verify_lemmas,
 )
 from poismc import cli as cli_mod, solvers as solvers_mod
 from poismc.cli import build_parser, default_demo_image, main
@@ -61,6 +60,82 @@ def test_simulate_rejects_oversized_m(tmp_path, capsys):
     rc = run(*simulate_args(tmp_path / "x", m=81))
     assert rc == 2
     assert "--m" in capsys.readouterr().err
+
+
+def simulate_4x4(m="8", beta="1"):
+    return ["simulate", "--d1", "4", "--d2", "4", "--rank", "2", "--alpha", "9",
+            "--beta", beta, "--m", m]
+
+
+@pytest.mark.parametrize("argv, message", [
+    # SynthesisSpec checks mask_m, the field --m stores to.
+    (simulate_4x4(m="0"), "--m must be in (0, 16], got 0.0"),
+    (simulate_4x4(m="17"), "--m must be in (0, 16], got 17.0"),
+    (["complete", "--obs", "obs.csv", "--d1", "4", "--d2", "4", "--rank", "9",
+      "--alpha", "9", "--beta", "1"], "--rank must be in [1, min(d1, d2)=4], got 9"),
+    (simulate_4x4(beta="0"), "--beta must be > 0, got 0.0"),
+    (["verify", "--alpha", "0.5"], "--alpha must be >= beta=1.0, got 0.5"),
+], ids=["m-0", "m-17", "rank", "beta", "alpha"])
+def test_bad_region_or_sample_count_is_named_and_exits_2_before_the_out_directory(
+        argv, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--d1", "4", "--d2", "4", "--rank", "2", "--alpha", "1e20",
+     "--beta", "1", "--m", "16"],
+    ["verify", "--samples", "5", "--alpha", "1e20"],
+    ["demo-solar", "--scale", "1e300", "--iters", "1"],
+], ids=["simulate", "verify", "demo-solar"])
+def test_rates_numpy_cannot_draw_name_alpha_and_exit_2_before_the_out_directory(
+        argv, tmp_path, capsys):
+    # numpy's Poisson sampler refuses rates above 9.223372006484771e18 with
+    # "lam value too large", which names no flag (and starts with the dest
+    # of --lambda).
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --alpha must be <= 9.223372006484771e+18 ")
+    assert err.count("\n") == 1 and "lam" not in err
+    assert not out.exists()
+
+
+def test_build_makes_the_objects_the_hand_written_calls_made(tmp_path, monkeypatch):
+    # Every flag that sets a field stores to that field, so _build makes on
+    # each subcommand what the commands once spelled out field by field.
+    build, built = cli_mod._build, []
+
+    def record(cls, args, **given):
+        built.append(build(cls, args, **given))
+        return built[-1]
+    monkeypatch.setattr(cli_mod, "_build", record)
+    region = ["--d1", "4", "--d2", "3", "--rank", "2", "--alpha", "9", "--beta", "1"]
+    reg = FeasibleRegion(d1=4, d2=3, alpha=9.0, beta=1.0, r=2)
+    solver = ["--iters", "3", "--lambda", "0.5", "--l0", "0.01", "--eta", "1.5"]
+    cases = [
+        (["simulate", *region, "--m", "10", "--seed", "3", "--out", str(tmp_path / "s")],
+         [reg, SynthesisSpec(region=reg, mask_m=10.0, seed=3)]),
+        (["complete", "--obs", str(tmp_path / "s" / "observations.csv"), *region,
+          "--algo", "apg", *solver, "--proj-tol", "1e-5", "--proj-max-iter", "50",
+          "--out", str(tmp_path / "c")],
+         [reg, SolverConfig(algorithm="apg", max_iter=3, lam=0.5, l0=0.01, eta=1.5,
+                            proj_tol=1e-5, proj_max_iter=50)]),
+        (["bounds", *region, "--m", "10", "--c-prime", "2", "--c0", "3", "--c1", "0.5",
+          "--c2", "0.25"],
+         [reg, BoundConstants(c_prime=2.0, c1=0.5, c2=0.25, c0=3.0)]),
+        (["verify", "--samples", "5", "--alpha", "7", "--beta", "2",
+          "--out", str(tmp_path / "v")],
+         [FeasibleRegion(d1=16, d2=16, alpha=7.0, beta=2.0, r=4)]),
+        (["demo-solar", *solver, "--out", str(tmp_path / "d")],
+         [SolverConfig(max_iter=3, lam=0.5, l0=0.01, eta=1.5)]),
+    ]
+    for argv, want in cases:
+        built.clear()
+        assert run(*argv) == 0, argv[0]
+        assert built == want, argv[0]
 
 
 def test_simulate_identical_invocations_identical_files(tmp_path):
@@ -497,16 +572,28 @@ def test_verify_zero_samples_exits_2_before_the_out_directory(tmp_path, capsys):
     assert not out.exists()
 
 
+def strict_json(text):
+    """``json.loads`` that refuses ``Infinity``, ``-Infinity`` and ``NaN``."""
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.mark.parametrize("alpha", ["1e200", "1e300"])
 def test_bounds_for_a_box_too_large_to_square_read_inf(alpha, capsys):
-    # FeasibleRegion accepts the box, and (alpha - beta)**2 overflows.
-    assert run("bounds", "--d1", "4", "--d2", "4", "--rank", "4", "--alpha", alpha,
-               "--beta", "1", "--m", "5", "--json") == 0
+    # FeasibleRegion accepts the box, and (alpha - beta)**2 overflows. The
+    # table prints the upper bound as inf; JSON has no inf, so it is null.
+    argv = ("bounds", "--d1", "4", "--d2", "4", "--rank", "4", "--alpha", alpha,
+            "--beta", "1", "--m", "5")
+    assert run(*argv, "--json") == 0
     stdout, err = capsys.readouterr()
-    payload = json.loads(stdout)
+    payload = strict_json(stdout)
     assert err == ""
-    assert payload["upper"]["value"] == math.inf and payload["upper"]["valid"]
+    assert payload["upper"]["value"] is None and payload["upper"]["valid"]
+    assert payload["gap"] is None
     assert payload["lower"]["reason"].endswith("r*alpha**2/min(d1,d2)=inf")
+    assert run(*argv) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["upper", "inf"]
 
 
 def test_verify_on_a_box_too_large_to_square_is_no_crash(tmp_path, capsys):
@@ -620,21 +707,22 @@ def test_demo_rejects_bad_fraction(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_demo_message_that_only_starts_with_a_dest_is_not_renamed(tmp_path, capsys):
+def test_demo_message_that_only_starts_with_a_dest_is_not_renamed(tmp_path, capsys,
+                                                                   monkeypatch):
     # numpy's "lam value too large" starts with the dest of --lambda but is
     # no "<field> must ..." message, so it is printed as numpy words it.
+    def refuse(*args, **kwargs):
+        raise ValueError("lam value too large")
+    monkeypatch.setattr(cli_mod, "recover_image", refuse)
     out = tmp_path / "d"
-    assert run("demo-solar", "--scale", "1e300", "--iters", "1",
-               "--out", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: lam ") and err.count("\n") == 1
-    assert "--lambda" not in err
+    assert run("demo-solar", "--iters", "1", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: lam value too large\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, message", [
     (("--patch", "5"), "5x5 patches do not tile a 48x48 image"),
-    (("--alpha", "0.5"), "need 0 < beta <= alpha"),
+    (("--alpha", "0.5"), "error: --alpha must be >= beta=1.0, got 0.5\n"),
 ], ids=["patch", "alpha"])
 def test_demo_bad_layout_or_box_exits_2_before_the_out_directory(
         flags, message, tmp_path, capsys):

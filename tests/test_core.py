@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from poismc import (
     FeasibleRegion,
@@ -68,6 +70,28 @@ def test_validate_matches_invariants_on_parameter_grid():
                     else:
                         with pytest.raises((BadBounds, BadRank, BadShape)):
                             region(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r)
+
+
+@st.composite
+def clip_cases(draw):
+    """A region and a matrix of its shape with NaN, -0.0 and infinities."""
+    d1, d2 = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    beta, alpha = sorted((draw(positive), draw(positive)))
+    entry = st.one_of(st.floats(), st.sampled_from([np.nan, -0.0, 0.0, beta, alpha]))
+    x = np.array(draw(st.lists(entry, min_size=d1 * d2, max_size=d1 * d2)))
+    return region(d1=d1, d2=d2, alpha=alpha, beta=beta, r=1), x.reshape(d1, d2)
+
+
+@given(clip_cases())
+def test_clip_has_the_bits_of_maximum_then_minimum(case):
+    reg, x = case
+    want = np.minimum(np.maximum(x, reg.beta), reg.alpha)
+    got = reg.clip(x)
+    assert got is not x and got.tobytes() == want.tobytes()
+    inplace = x.copy()
+    assert reg.clip(inplace, out=inplace) is inplace
+    assert inplace.tobytes() == want.tobytes()
 
 
 def test_nuclear_radius():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from poismc import (
     FeasibleRegion,
+    ProjectionReport,
     alternating_projection,
     init_matrix,
     membership,
@@ -16,7 +17,7 @@ from poismc import (
     svt,
 )
 from poismc import projections
-from poismc.errors import BadRadius, BadTau, NoConvergence, SvdFailure
+from poismc.errors import BadRadius, BadTau, ProjectionFailure, SvdFailure
 from poismc.projections import (BALL_TEST_GUARD, GRAM, GRAM_SVT_GUARD, INSIDE,
                                 SVD, TINY_NORMAL, _alternating_projection,
                                 _ball_step, _basis_bound, _eigh, _fro_norm,
@@ -652,9 +653,10 @@ def test_altproj_no_convergence_carries_report():
     u0 = 50.0 * np.array(
         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float
     )
-    with pytest.raises(NoConvergence) as excinfo:
+    with pytest.raises(ProjectionFailure) as excinfo:
         alternating_projection(u0, reg, tol=1e-15, max_iter=1)
     rep = excinfo.value.report
+    assert isinstance(rep, ProjectionReport)
     assert rep.iterations == 1
     assert rep.final_gap > 1e-15
     assert membership(rep.result, reg).in_box
@@ -744,7 +746,7 @@ def test_altproj_bit_equal_to_full_svd_loop(case):
     if closed:
         rep = alternating_projection(u0, reg, tol=tol, max_iter=max_iter)
     else:
-        with pytest.raises(NoConvergence) as excinfo:
+        with pytest.raises(ProjectionFailure) as excinfo:
             alternating_projection(u0, reg, tol=tol, max_iter=max_iter)
         rep = excinfo.value.report
     assert np.array_equal(rep.result, want)
@@ -900,7 +902,7 @@ def altproj_run(u0, reg, tol, max_iter, memo=None):
     """``(report, memo)`` of the kernel; the memo is None where it raised."""
     try:
         return _alternating_projection(u0, reg, tol, max_iter, memo)
-    except NoConvergence as exc:
+    except ProjectionFailure as exc:
         return exc.report, None
 
 

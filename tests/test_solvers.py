@@ -13,7 +13,9 @@ import poismc.solvers as solvers_mod
 from poismc import (
     FeasibleRegion,
     ObservationSet,
+    ProjectionReport,
     SolverConfig,
+    SolverReport,
     SynthesisSpec,
     alternating_projection,
     gradient,
@@ -36,7 +38,6 @@ from poismc import (
 )
 from poismc.errors import (
     BacktrackOverflow,
-    NoConvergence,
     NonPositiveEntryAtObservation,
     PoismcError,
     ProjectionFailure,
@@ -368,8 +369,6 @@ def linear_scan(obs, reg, cfg):
                 break
     except PoismcError as exc:
         termination = type(exc).__name__
-        if isinstance(exc, NoConvergence):
-            termination = "ProjectionFailure"
     return dict(estimate=m, objective_trace=np.asarray(trace),
                 majorization_gaps=np.asarray(gaps), final_l=l,
                 iterations_run=len(trace), termination=termination, trials=trials)
@@ -665,8 +664,8 @@ def test_trial_is_the_scan_trial_bit_for_bit(case, log_l, algorithm, extrapolate
            flat, y)
     try:
         want_m, want_gap = scan_trial(l, z, gradient(z, obs), obs, scan_prox(cfg, reg))
-    except NoConvergence:
-        with pytest.raises(NoConvergence):
+    except ProjectionFailure:
+        with pytest.raises(ProjectionFailure):
             solvers_mod._trial(l, *ctx)
         return
     m_next, x_next, gap = solvers_mod._trial(l, *ctx)
@@ -831,6 +830,33 @@ FORCED_FAILURES = [
 ]
 
 
+@pytest.mark.parametrize("algorithm", ["pg", "apg"])
+def test_projection_failure_leaves_the_solver_as_the_kernel_raised_it(
+        monkeypatch, algorithm):
+    # The solver neither translates nor chains the kernel's error; it only
+    # puts its own report in place of the kernel's ProjectionReport.
+    obs, reg = binding_instance(1)
+    cfg = SolverConfig(algorithm=algorithm, max_iter=20, proj_max_iter=4)
+    kernel, raised = solvers_mod._alternating_projection, []
+
+    def spy(*args):
+        try:
+            return kernel(*args)
+        except ProjectionFailure as exc:
+            raised.append((exc, exc.report))
+            raise
+    monkeypatch.setattr(solvers_mod, "_alternating_projection", spy)
+    with pytest.raises(ProjectionFailure) as excinfo:
+        solve(obs, reg, cfg)
+    (exc, kernel_report), = raised
+    assert excinfo.value is exc
+    assert exc.__cause__ is None and exc.__context__ is None
+    assert isinstance(kernel_report, ProjectionReport)
+    assert str(exc).startswith("gap ") and str(exc).endswith("after 4 iterations")
+    assert isinstance(exc.report, SolverReport)
+    assert exc.report.termination == "ProjectionFailure"
+
+
 @pytest.mark.parametrize("algorithm, error", FORCED_FAILURES)
 def test_failures_carry_the_last_good_iterate(monkeypatch, algorithm, error):
     # Each error is forced part way through a run; its report must be the
@@ -857,8 +883,6 @@ def test_failures_carry_the_last_good_iterate(monkeypatch, algorithm, error):
                             fail_on_call(4, _sampled_gradient, error))
     with pytest.raises(error) as excinfo:
         solve(obs, reg, cfg)
-    if error is ProjectionFailure:
-        assert isinstance(excinfo.value.__cause__, NoConvergence)
     rep = excinfo.value.report
     k = rep.iterations_run
     assert rep.termination == error.__name__

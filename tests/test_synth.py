@@ -21,8 +21,8 @@ from poismc import (
     sweep_m,
     verify_lemmas,
 )
-from poismc.errors import BadM, NonPositiveIntensity, RankInfeasible
-from poismc.synth import SWEEP_CSV_HEADER, derive_seed
+from poismc.errors import BadBounds, BadM, NonPositiveIntensity, RankInfeasible
+from poismc.synth import POISSON_RATE_MAX, SWEEP_CSV_HEADER, derive_seed
 
 
 def spec(d1=10, d2=8, r=3, alpha=9.0, beta=1.0, m=40.0, seed=7):
@@ -108,14 +108,14 @@ def test_mask_full_when_m_equals_cells():
 def test_spec_rejects_bad_m_at_construction():
     with pytest.raises(BadM):
         spec(m=0)
-    with pytest.raises(BadM):
+    with pytest.raises(BadM, match=r"^mask_m must be in \(0, 80\], got 81$"):
         spec(d1=10, d2=8, m=81)
 
 
 def test_mask_rejects_bad_m():
     with pytest.raises(BadM):
         sample_mask(6, 5, 0, seed=0)
-    with pytest.raises(BadM):
+    with pytest.raises(BadM, match=r"^m must be in \(0, 30\], got 31$"):
         sample_mask(6, 5, 31, seed=0)
 
 
@@ -289,3 +289,22 @@ def test_poisson_tail_check_fields():
     out = poisson_tail_check(3.0, 13.2, draws=10**5, seed=5)
     assert set(out) == {"lam", "t", "draws", "events", "empirical", "bound", "ok"}
     assert out["ok"]
+
+
+def test_rates_numpy_cannot_draw_raise_bad_bounds_before_any_draw():
+    # numpy's Generator.poisson draws at POISSON_RATE_MAX and refuses the
+    # next double up, and inf, with "lam value too large".
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_RATE_MAX)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_RATE_MAX, np.inf))
+    assert poisson_tail_check(POISSON_RATE_MAX, 1.0, draws=1, seed=0)["draws"] == 1
+    mask = np.ones((1, 2), dtype=bool)
+    for rate in (np.nextafter(POISSON_RATE_MAX, np.inf), np.inf):
+        with pytest.raises(BadBounds, match=r"^alpha must be <= 9\.223372006484771e\+18 "):
+            poisson_tail_check(rate, 1.0, draws=1, seed=0)
+        with pytest.raises(BadBounds, match=r"^alpha must be <= 9\.223372006484771e\+18 "):
+            sample_poisson(np.array([[1.0, rate]]), mask, seed=0)
+    # A rate off the mask is never drawn, so it is not checked.
+    obs = sample_poisson(np.array([[1.0, np.inf]]), np.array([[True, False]]), seed=0)
+    assert len(obs) == 1
