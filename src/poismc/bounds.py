@@ -27,7 +27,8 @@ E_SQ_MINUS_3 = math.e**2 - 3.0
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """Absolute constants, each > 0; defaults are the proof-supported values."""
+    """Absolute constants, each finite and > 0; defaults are the proof-supported
+    values."""
 
     c_prime: float = 128.0 * (1.0 + math.sqrt(6.0)) * math.e
     c1: float = 1.0 / 256.0
@@ -36,8 +37,11 @@ class BoundConstants:
 
     def __post_init__(self):
         for name in ("c_prime", "c1", "c2", "c0"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"{name} must be > 0")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,15 @@ def _report(formula, region, m, constants):
     return BoundReport(value, regime, not reasons, "; ".join(reasons), constants)
 
 
+def _from_logs(*logs):
+    """The product of the factors whose logarithms are ``logs``, or ``inf``.
+
+    A formula whose direct product is NaN, an underflowed factor times an
+    overflowed one, is formed here instead: no 0*inf arises in a sum.
+    """
+    return _power(math.e, math.fsum(logs))
+
+
 def upper_bound(region, m, constants=BoundConstants()):
     """High-probability upper bound on the per-entry MSE of the estimator.
 
@@ -99,6 +112,8 @@ def upper_bound(region, m, constants=BoundConstants()):
 def _upper(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
     t = _power(alpha - beta, 2) / (8.0 * beta)
+    if math.isnan(t):  # inf/inf, where 8*beta overflows; (alpha - beta)/beta <= 1
+        t = (alpha - beta) / beta * (alpha - beta) / 8.0
     # 8*alpha*T / (1 - exp(-T)), with the T -> 0 limit equal to 8*alpha.
     if t == 0.0:
         curvature = 8.0 * alpha
@@ -112,14 +127,29 @@ def _upper(region, m, k):
         * (alpha * E_SQ_MINUS_2 + 3.0 * logdd)
     )
     dsum = d1 + d2
-    if m >= dsum * logdd:
-        return math.sqrt(2.0) * prefactor * math.sqrt(dsum / m), "simplified", []
-    value = (
-        prefactor
-        * math.sqrt(dsum / m)
-        * math.sqrt(1.0 + dsum * logdd / m)
-    )
-    return value, "general", []
+    regime = "simplified" if m >= dsum * logdd else "general"
+    if regime == "simplified":
+        value = math.sqrt(2.0) * prefactor * math.sqrt(dsum / m)
+    else:
+        value = (
+            prefactor
+            * math.sqrt(dsum / m)
+            * math.sqrt(1.0 + dsum * logdd / m)
+        )
+    if math.isnan(value):  # an underflowed prefactor times an overflowed root
+        if regime == "simplified":
+            log_last = math.log(2.0)
+        else:  # log(1 + x) from log(x) = lx > 0, as x = dsum*logdd/m may overflow
+            lx = math.log(dsum * logdd) - math.log(m)
+            log_last = lx + math.log1p(math.exp(-lx))
+        value = _from_logs(
+            math.log(k.c_prime),
+            math.log(8.0 * alpha) + math.log(t / -math.expm1(-t) if t else 1.0),
+            math.log(alpha * math.sqrt(r)) - math.log(beta),
+            math.log(alpha * E_SQ_MINUS_2 + 3.0 * logdd),
+            0.5 * (math.log(dsum) - math.log(m) + log_last),
+        )
+    return value, regime, []
 
 
 def lower_bound(region, m, constants=BoundConstants()):
@@ -138,6 +168,9 @@ def _lower(region, m, k):
     d1, d2, alpha, beta, r = region.d1, region.d2, region.alpha, region.beta, region.r
     dmax = max(d1, d2)
     scaled = k.c2 * _power(alpha, 1.5) * math.sqrt(r * dmax / m)
+    if math.isnan(scaled):  # alpha**1.5 underflowed and the root overflowed
+        scaled = _from_logs(math.log(k.c2), 1.5 * math.log(alpha),
+                            0.5 * (math.log(r * dmax) - math.log(m)))
     if k.c1 <= scaled:
         value, regime = k.c1, "constant"
     else:

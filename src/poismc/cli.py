@@ -24,7 +24,8 @@ error exits 2, and every unreadable input exits 1, before ``--out``
 exists.
 
 Exit codes: 0 ok, 1 I/O failure (a file that cannot be read or written,
-does not parse, or holds no data; a ``rerun`` manifest whose ``argv`` is
+is not UTF-8 text where text is expected, does not parse (JSON nested too
+deep included), or holds no data; a ``rerun`` manifest whose ``argv`` is
 not a non-empty list of strings or starts with ``rerun``; an ``--out``
 directory that cannot be created), 2 validation,
 3 the error carries a report (a solve failed after its first iterate),

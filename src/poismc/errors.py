@@ -27,7 +27,8 @@ class BadShape(PoismcError):
 class BadBounds(PoismcError):
     """Entry bounds violate 0 < beta <= alpha, or a rate is too large to draw.
 
-    numpy's Poisson sampler refuses rates above ``synth.POISSON_RATE_MAX``.
+    numpy's Poisson sampler refuses rates above ``synth.POISSON_RATE_MAX``,
+    and ``synth.sample_poisson`` those above ``synth.COUNT_RATE_MAX``.
     """
 
 

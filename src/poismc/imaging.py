@@ -7,12 +7,15 @@ approximately low rank, which is what the completion solvers exploit.
 
 File formats: Netpbm PGM (read as P2 ASCII or P5 binary, maxval up to
 65535; written as P2) and headerless CSV. This module parses and formats
-them; ``fileio`` opens every file and owns the I/O failures. The PGM
+them. ``fileio`` opens every file and owns the I/O failures, and
+``fileio._read`` is the one way a file enters and owns the parse
+failures: the PGM parser raises ``ValueError`` on bad content, and
+``_read`` makes it a ``CorruptFile`` that names the file. The PGM
 header is read token by token; numpy casts the raster (one split and
-cast for P2, ``np.frombuffer`` for P5) and ``np.savetxt`` writes it.
-A sample that is not an integer or overflows, a short raster, or a
-sample below 0 or above maxval is ``CorruptFile``. Every ``CorruptFile``
-and ``UnsupportedFormat`` names the file.
+cast for P2, ``np.frombuffer`` for P5) and ``np.savetxt`` writes it. A
+sample that is not an integer or overflows, a short raster, or a sample
+below 0 or above maxval is ``CorruptFile``. Every ``CorruptFile`` and
+``UnsupportedFormat`` names the file.
 """
 
 import re
@@ -21,13 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FeasibleRegion, as_matrix
-from .errors import (
-    CorruptFile,
-    IndivisibleLayout,
-    ShapeMismatch,
-    UnsupportedFormat,
-)
-from .fileio import _opened, read_matrix_csv, write_matrix_csv
+from .errors import IndivisibleLayout, ShapeMismatch, UnsupportedFormat
+from .fileio import _opened, _read, read_matrix_csv, write_matrix_csv
 from .synth import TrialResult, run_trial
 
 PGM_MAXVAL_LIMIT = 65535
@@ -95,12 +93,15 @@ def _pgm_tokens(data):
 
 
 def _parse_pgm(path, data):
-    """The grid of the PGM bytes ``data`` read from ``path``."""
+    """The grid of the PGM bytes ``data`` read from ``path``.
+
+    Bad content is a ``ValueError`` or ``OverflowError``, which
+    ``fileio._read`` turns into ``CorruptFile``.
+    """
     tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-    except StopIteration:
-        raise CorruptFile(f"{path}: empty file") from None
+    magic, _ = next(tokens, (None, 0))
+    if magic is None:
+        raise ValueError("empty file")
     if magic not in (b"P2", b"P5"):
         raise UnsupportedFormat(f"{path}: unsupported magic {magic!r}")
     try:
@@ -109,23 +110,17 @@ def _parse_pgm(path, data):
         maxval, end = next(tokens)
         width, height, maxval = int(width), int(height), int(maxval)
     except (StopIteration, ValueError):
-        raise CorruptFile(f"{path}: bad PGM header") from None
+        raise ValueError("bad PGM header") from None
     if width < 1 or height < 1 or not 0 < maxval <= PGM_MAXVAL_LIMIT:
-        raise CorruptFile(
-            f"{path}: bad PGM dimensions {width}x{height} maxval {maxval}"
-        )
-    try:
-        if magic == b"P2":
-            raster = re.sub(rb"(?<!\S)#[^\n]*", b"", data[end:]).split()
-        else:  # a single whitespace byte follows maxval
-            dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-            raster = np.frombuffer(data, dtype, width * height, end + 1)
-        grid = np.asarray(raster, dtype=np.int64)[: width * height]
-        grid = grid.reshape(height, width)
-    except (ValueError, OverflowError) as exc:
-        raise CorruptFile(f"bad PGM raster {path}: {exc}") from None
+        raise ValueError(f"bad PGM dimensions {width}x{height} maxval {maxval}")
+    if magic == b"P2":
+        raster = re.sub(rb"(?<!\S)#[^\n]*", b"", data[end:]).split()
+    else:  # a single whitespace byte follows maxval
+        dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
+        raster = np.frombuffer(data, dtype, width * height, end + 1)
+    grid = np.asarray(raster, dtype=np.int64)[: width * height].reshape(height, width)
     if grid.min() < 0 or grid.max() > maxval:
-        raise CorruptFile(f"{path}: sample outside 0..{maxval}")
+        raise ValueError(f"sample outside 0..{maxval}")
     return grid
 
 
@@ -134,9 +129,7 @@ def read_image(path):
     path = str(path)
     if path.lower().endswith(".csv"):
         return read_matrix_csv(path)
-    with _opened(path, "rb") as fh:
-        data = fh.read()
-    return _parse_pgm(path, data)
+    return _read(path, lambda data: _parse_pgm(path, data), text=False)
 
 
 def write_image(grid, path):

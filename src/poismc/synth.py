@@ -50,6 +50,12 @@ _SEED_MASK = (1 << 64) - 1
 # the next double up with "lam value too large".
 POISSON_RATE_MAX = 9.223372006484771e18
 
+# The largest rate ``sample_poisson`` draws an observed count from.
+# ``ObservationSet`` holds counts below 2**53; at a rate of 2**52 that is
+# 2**52 above the mean, about 6.7e7 standard deviations, so no draw gets
+# there.
+COUNT_RATE_MAX = 2.0**52
+
 
 def substream(seed, *path):
     """Generator for the labeled substream ``path`` of ``seed``."""
@@ -84,15 +90,15 @@ def _check_m(name, m, cells):
         raise BadM(f"{name} must be in (0, {cells}], got {m}")
 
 
-def _check_rates(lam):
-    """Raise ``BadBounds`` unless numpy can draw at every rate in ``lam``.
+def _check_rates(lam, limit):
+    """Raise ``BadBounds`` unless every rate in ``lam`` is at most ``limit``.
 
     The message names ``alpha``, the rate cap of the box every caller in
     the package draws from, so the CLI names the flag that sets it.
     """
     top = float(np.max(lam, initial=0.0))
-    if not top <= POISSON_RATE_MAX:
-        raise BadBounds(f"alpha must be <= {POISSON_RATE_MAX!r} for Poisson draws, "
+    if not top <= limit:
+        raise BadBounds(f"alpha must be <= {limit!r} for Poisson draws, "
                         f"got a rate of {top!r}")
 
 
@@ -157,7 +163,8 @@ def sample_poisson(truth, mask, seed, m_expected=None):
     """Draw one Poisson count per masked cell of ``truth``.
 
     Raises ``NonPositiveIntensity`` for a rate <= 0 on the mask and
-    ``BadBounds`` for one above ``POISSON_RATE_MAX``.
+    ``BadBounds`` for one above ``COUNT_RATE_MAX``, so that every count
+    fits an ``ObservationSet``.
     """
     truth = np.asarray(truth, dtype=float)
     mask = np.asarray(mask, dtype=bool)
@@ -167,7 +174,7 @@ def sample_poisson(truth, mask, seed, m_expected=None):
     lam = truth[rows, cols]
     if np.any(lam <= 0.0):
         raise NonPositiveIntensity("rates must be > 0 on the mask")
-    _check_rates(lam)
+    _check_rates(lam, COUNT_RATE_MAX)
     rng = substream(seed, STREAM_COUNTS)
     counts = rng.poisson(lam)
     return ObservationSet(
@@ -274,7 +281,7 @@ def poisson_tail_check(lam, t, draws, seed):
         raise NonPositiveIntensity(f"lam must be > 0, got {lam}")
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    _check_rates(lam)
+    _check_rates(lam, POISSON_RATE_MAX)
     rng = substream(seed, STREAM_TAIL)
     y = rng.poisson(lam, size=int(draws))
     events = int(np.sum(y - lam >= t))

@@ -1,7 +1,10 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismc import (
     BoundConstants,
@@ -267,3 +270,75 @@ def test_tail_bound_monte_carlo_at_threshold():
     bound = tail_bound(t0)
     se = math.sqrt(bound * (1 - bound) / 10**6)
     assert emp <= bound + 3 * se
+
+
+# --- no NaN for a finite m > 0 ------------------------------------------------------
+
+POSITIVE = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+
+
+@st.composite
+def bound_cases(draw):
+    d1, d2 = draw(st.integers(1, 2**62)), draw(st.integers(1, 2**62))
+    alpha = draw(POSITIVE)
+    beta = draw(st.floats(min_value=5e-324, max_value=alpha))
+    r = draw(st.integers(1, min(d1, d2)))
+    constants = BoundConstants(*(draw(POSITIVE) for _ in range(4)))
+    return FeasibleRegion(d1=d1, d2=d2, alpha=alpha, beta=beta, r=r), draw(POSITIVE), constants
+
+
+@settings(max_examples=500, deadline=None)
+@given(bound_cases())
+def test_bounds_are_finite_or_inf_for_every_region_and_finite_m(case):
+    reg, m, constants = case
+    for bound in (upper_bound, lower_bound):
+        for k in (BoundConstants(), constants):
+            value = bound(reg, m, k).value
+            assert value >= 0.0 and not math.isnan(value), (bound.__name__, value)
+
+
+E_SQ = Decimal(math.e) ** 2
+
+
+@pytest.mark.parametrize("bound, reg, m, k, want", [
+    # alpha**1.5 underflows to 0 and sqrt(r * max(d1, d2) / m) overflows.
+    (lower_bound, region(d1=4514, d2=312506, alpha=7.06e-284, beta=1e-300, r=3081),
+     1e-300, BoundConstants(),
+     lambda: Decimal(1) / 4096 * Decimal(7.06e-284) ** Decimal(1.5)
+     * (Decimal(3081 * 312506) / Decimal(1e-300)).sqrt()),
+    # The prefactor underflows to 0 and both roots of the general form
+    # overflow. At alpha == beta the curvature is 8*alpha.
+    (upper_bound, region(d1=2, d2=2, alpha=5e-324, beta=5e-324, r=1),
+     5e-324, BoundConstants(c_prime=1e-10),
+     lambda: Decimal(1e-10) * 8 * Decimal(5e-324)
+     * (Decimal(5e-324) * (E_SQ - 2) + 3 * Decimal(4).ln())
+     * (4 / Decimal(5e-324)).sqrt() * (1 + 4 * Decimal(4).ln() / Decimal(5e-324)).sqrt()),
+], ids=["lower", "upper-general"])
+def test_a_product_of_an_underflow_and_an_overflow_is_taken_from_logs(
+        bound, reg, m, k, want):
+    with localcontext() as ctx:
+        ctx.prec = 50
+        expected = float(want())
+    rep = bound(reg, m, k)
+    assert rep.value == pytest.approx(expected, rel=1e-12)
+
+
+def test_an_underflowed_upper_bound_is_zero_not_nan():
+    # The prefactor underflows to 0 and sqrt((d1 + d2) / m) overflows; the
+    # true value, about 4.6e-434, rounds to 0. The bound is valid.
+    rep = upper_bound(region(d1=1, d2=1, alpha=1e-300, beta=1e-300, r=1), 5e-324)
+    assert rep.valid and rep.value == 0.0 and rep.to_json_dict()["value"] == 0.0
+
+
+def test_an_upper_bound_past_the_float_range_is_inf_not_nan():
+    # (alpha - beta)**2 and 8*beta both overflow, so their ratio was NaN.
+    rep = upper_bound(region(d1=4, d2=4, alpha=1.7e308, beta=1e308, r=4), 5.0)
+    assert rep.valid and rep.value == math.inf
+
+
+def test_constants_must_be_finite_at_construction():
+    for name in ("c_prime", "c1", "c2", "c0"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            BoundConstants(**{name: math.inf})
+        with pytest.raises(ValueError, match=f"^{name} must be > 0$"):
+            BoundConstants(**{name: -math.inf})

@@ -84,21 +84,25 @@ def test_bad_region_or_sample_count_is_named_and_exits_2_before_the_out_director
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--d1", "4", "--d2", "4", "--rank", "2", "--alpha", "1e20",
-     "--beta", "1", "--m", "16"],
-    ["verify", "--samples", "5", "--alpha", "1e20"],
-    ["demo-solar", "--scale", "1e300", "--iters", "1"],
-], ids=["simulate", "verify", "demo-solar"])
+@pytest.mark.parametrize("argv, limit", [
+    (["simulate", "--d1", "4", "--d2", "4", "--rank", "2", "--alpha", "1e20",
+      "--beta", "1", "--m", "16"], "4503599627370496.0"),
+    (["verify", "--samples", "5", "--alpha", "1e20"], "9.223372006484771e+18"),
+    (["demo-solar", "--scale", "1e300", "--iters", "1"], "4503599627370496.0"),
+    # numpy draws at 1e17, but a count of 2**53 or more fits no
+    # ObservationSet, whose message named no flag.
+    (["simulate", "--d1", "4", "--d2", "4", "--rank", "2", "--alpha", "1e17",
+      "--beta", "1", "--m", "16"], "4503599627370496.0"),
+], ids=["simulate", "verify", "demo-solar", "simulate-count"])
 def test_rates_numpy_cannot_draw_name_alpha_and_exit_2_before_the_out_directory(
-        argv, tmp_path, capsys):
+        argv, limit, tmp_path, capsys):
     # numpy's Poisson sampler refuses rates above 9.223372006484771e18 with
     # "lam value too large", which names no flag (and starts with the dest
-    # of --lambda).
+    # of --lambda). Observed counts stop at a rate of 2**52.
     out = tmp_path / "o"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: --alpha must be <= 9.223372006484771e+18 ")
+    assert err.startswith(f"error: --alpha must be <= {limit} ")
     assert err.count("\n") == 1 and "lam" not in err
     assert not out.exists()
 
@@ -596,6 +600,34 @@ def test_bounds_for_a_box_too_large_to_square_read_inf(alpha, capsys):
     assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["upper", "inf"]
 
 
+@pytest.mark.parametrize("flag", ["--c-prime", "--c0"])
+def test_an_infinite_bound_constant_is_named_and_exits_2(flag, capsys):
+    # --c-prime inf once failed on writing the JSON, naming no flag, and
+    # --c0 inf printed a hypothesis against c0=inf and exited 0.
+    argv = ("bounds", "--d1", "4", "--d2", "4", "--rank", "4", "--alpha", "9",
+            "--beta", "1", "--m", "5", flag, "inf")
+    for extra in ((), ("--json",)):
+        assert run(*argv, *extra) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} must be finite, got inf\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # alpha**1.5 underflows and the lower bound's root overflows.
+    ("--d1", "4514", "--d2", "312506", "--rank", "3081", "--alpha", "7.06e-284",
+     "--beta", "1e-300", "--m", "1e-300"),
+    # The upper bound's prefactor underflows and its root overflows.
+    ("--d1", "1", "--d2", "1", "--rank", "1", "--alpha", "1e-300",
+     "--beta", "1e-300", "--m", "5e-324"),
+], ids=["lower", "upper"])
+def test_bounds_where_an_underflow_meets_an_overflow_print_no_nan(argv, capsys):
+    assert run("bounds", *argv) == 0
+    assert "nan" not in capsys.readouterr().out
+    assert run("bounds", *argv, "--json") == 0
+    payload = strict_json(capsys.readouterr().out)
+    for bound in ("upper", "lower"):
+        assert payload[bound]["value"] is not None, bound
+
+
 def test_verify_on_a_box_too_large_to_square_is_no_crash(tmp_path, capsys):
     out = tmp_path / "v"
     rc = run("verify", "--samples", "5", "--alpha", "1e308", "--out", str(out))
@@ -817,6 +849,27 @@ def test_rerun_rejects_a_malformed_manifest(manifest, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: argv must be") and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("case", ["obs", "truth", "manifest"])
+def test_a_file_not_utf8_or_nested_too_deep_exits_1_naming_it(case, tmp_path, capsys):
+    # The decode failure once exited 2 naming no file, and the deep
+    # manifest printed a RecursionError traceback.
+    sim, out = tmp_path / "sim", tmp_path / "o"
+    assert run(*simulate_args(sim)) == 0
+    bad = tmp_path / ("deep.json" if case == "manifest" else "bad.csv")
+    if case == "manifest":
+        bad.write_text("[" * 200_000)
+        argv = ["rerun", str(bad), "--out", str(out)]
+    else:
+        bad.write_bytes(b"i,j,y\n\xff,0,1\n")
+        obs = bad if case == "obs" else sim / "observations.csv"
+        argv = complete_args(obs, out, extra=("--truth", str(bad)) if case == "truth" else ())
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_rerun_reproduces_demo(tmp_path):

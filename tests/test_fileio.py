@@ -1,10 +1,14 @@
+import os
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poismc import FeasibleRegion, ObservationSet, SolverConfig, SynthesisSpec, synth
-from poismc.errors import CorruptFile, IoFailure
+from poismc.errors import BadObservations, CorruptFile, IoFailure, UnsupportedFormat
 from poismc.fileio import (
     read_json,
     read_matrix_csv,
@@ -88,6 +92,10 @@ MALFORMED = {
     "pgm-empty": (read_image, b""),
     "pgm-short-header": (read_image, b"P2\n2 1\n"),
     "pgm-zero-width": (read_image, b"P2\n0 1\n255\n"),
+    "obs-not-utf8": (read_obs, b"i,j,y\n\xff,0,1\n"),
+    "matrix-not-utf8": (read_matrix_csv, b"1,\xff\n"),
+    "json-not-utf8": (read_json, b'{"a": "\xff"}'),
+    "json-nested-too-deep": (read_json, b"[" * 200_000),
 }
 
 
@@ -186,3 +194,133 @@ def test_sweep_m_fails_before_any_trial(bad, tmp_path, monkeypatch):
     with pytest.raises(IoFailure):
         IO_CALLS["sweep_m"][2](path)
     assert trials == []
+
+
+# --- every reader, on any bytes -------------------------------------------------
+
+# reader name: (read, file name, headers a fuzzed body follows, the errors
+# it may raise). Besides a result, only a file error that names the path
+# is allowed; an observation table that parses but is out of range is
+# BadObservations, since ObservationSet is built after the file is read.
+READERS = {
+    "observations": (read_obs, "f.csv",
+                     [b"i,j,y\n", b"i,j,y\r\n", b"i,j,y\r", b"i,j\n", b""],
+                     (CorruptFile, BadObservations)),
+    "matrix": (read_matrix_csv, "f.csv", [b"", b"1,2\n", b"1.5,-2e3\r\n"], (CorruptFile,)),
+    "json": (read_json, "f.json", [b"", b"{", b"[", b'{"argv": ['], (CorruptFile,)),
+    "image-pgm": (read_image, "f.pgm",
+                  [b"P2\n2 2\n255\n", b"P2 1 1 65535 ", b"P5\n2 2\n255\n",
+                   b"P5\n1 2\n65535\n", b"P", b""],
+                  (CorruptFile, UnsupportedFormat)),
+    "image-csv": (read_image, "f.csv", [b"", b"0,255\n"], (CorruptFile,)),
+}
+
+# Near-numeric text, separators, comment marks, nesting and bytes that
+# are not UTF-8 (or decode to line breaks text mode does not split at).
+TOKENS = [b"0", b"1", b"7", b"255", b"-", b".", b"e", b"+", b"_", b",", b" ", b"\t",
+          b"\n", b"\r", b"\r\n", b"#", b"[", b"]", b"{", b'"', b"nan", b"inf",
+          b"1e400", b"99999999999999999999", b"\xff", b"\xc2", b"\xc2\x85",
+          b"\xe2\x80\xa8", b"\x0c", b"\x00"]
+BODIES = st.one_of(st.binary(max_size=48),
+                   st.lists(st.sampled_from(TOKENS), max_size=24).map(b"".join))
+
+
+@pytest.mark.parametrize("reader", READERS)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_every_reader_returns_or_raises_a_file_error_naming_the_path(reader, data):
+    read, name, headers, allowed = READERS[reader]
+    content = data.draw(st.sampled_from(headers)) + data.draw(BODIES)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            read(path)
+        except allowed as exc:
+            assert isinstance(exc, BadObservations) or str(exc).startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("read", [read_matrix_csv, read_obs], ids=["matrix", "observations"])
+def test_a_table_parse_that_only_warns_is_corrupt_file(read, tmp_path, monkeypatch):
+    # numpy 1.23-1.26 cast an int field that fails as a float and only
+    # warn; the reader must still refuse the file.
+    def loadtxt_that_warns(*args, **kwargs):
+        warnings.warn("cast a float field to int", DeprecationWarning)
+        return np.zeros((1, 3), dtype=np.int64)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt_that_warns)
+    path = tmp_path / "f.csv"
+    path.write_text("i,j,y\n0,0,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(CorruptFile, match="^" + str(path) + ": cast a float field"):
+            read(path)
+
+
+def test_lines_split_as_text_mode_splits_them(tmp_path):
+    # Universal newlines: \r\n and a lone \r end a line; U+0085 and U+2028
+    # do not, so the row holding them fails as one field.
+    path = tmp_path / "obs.csv"
+    path.write_bytes(b"i,j,y\r0,1,2\r\n1,0,3\r")
+    obs = read_obs(path)
+    assert obs.rows.tolist() == [0, 1] and obs.counts.tolist() == [2, 3]
+    path.write_bytes("i,j,y\n0,1,2\u20281,0,3\n".encode())
+    with pytest.raises(CorruptFile, match="to int64 at row 0, column 3"):
+        read_obs(path)
+
+
+# --- round trips ------------------------------------------------------------------
+
+
+@st.composite
+def observation_sets(draw):
+    d1, d2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.integers(0, d1 * d2 - 1), unique=True, max_size=d1 * d2))
+    counts = draw(st.lists(st.integers(0, 2**53 - 1), min_size=len(cells),
+                           max_size=len(cells)))
+    rows, cols = np.divmod(np.array(cells, dtype=np.int64), d2)
+    return ObservationSet(d1=d1, d2=d2, rows=rows, cols=cols, counts=counts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(observation_sets())
+def test_observation_csv_round_trip(obs):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obs.csv")
+        write_observations_csv(obs, path)
+        back = read_observations_csv(path, obs.d1, obs.d2)
+    for field in ("rows", "cols", "counts"):
+        assert np.array_equal(getattr(back, field), getattr(obs, field))
+    assert back.counts.dtype == np.int64
+
+
+MATRICES = st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda shape: st.lists(st.floats(allow_nan=False), min_size=shape[0] * shape[1],
+                           max_size=shape[0] * shape[1])
+    .map(lambda v: np.array(v, dtype=float).reshape(shape)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(MATRICES)
+def test_matrix_csv_round_trip_keeps_every_bit(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.csv")
+        write_matrix_csv(m, path)
+        back = read_matrix_csv(path)
+    assert back.shape == m.shape and back.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("name", ["img.pgm", "img.csv"])
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       peak=st.sampled_from([1, 255, 256, 65535]), data=st.data())
+def test_image_round_trip_keeps_the_raster(name, shape, peak, data):
+    values = data.draw(st.lists(st.integers(0, peak), min_size=shape[0] * shape[1],
+                                max_size=shape[0] * shape[1]))
+    grid = np.array(values, dtype=np.int64).reshape(shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        write_image(grid, path)
+        back = read_image(path)
+    assert back.shape == grid.shape and np.array_equal(back, grid)

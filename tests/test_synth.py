@@ -22,7 +22,12 @@ from poismc import (
     verify_lemmas,
 )
 from poismc.errors import BadBounds, BadM, NonPositiveIntensity, RankInfeasible
-from poismc.synth import POISSON_RATE_MAX, SWEEP_CSV_HEADER, derive_seed
+from poismc.synth import (
+    COUNT_RATE_MAX,
+    POISSON_RATE_MAX,
+    SWEEP_CSV_HEADER,
+    derive_seed,
+)
 
 
 def spec(d1=10, d2=8, r=3, alpha=9.0, beta=1.0, m=40.0, seed=7):
@@ -303,8 +308,17 @@ def test_rates_numpy_cannot_draw_raise_bad_bounds_before_any_draw():
     for rate in (np.nextafter(POISSON_RATE_MAX, np.inf), np.inf):
         with pytest.raises(BadBounds, match=r"^alpha must be <= 9\.223372006484771e\+18 "):
             poisson_tail_check(rate, 1.0, draws=1, seed=0)
-        with pytest.raises(BadBounds, match=r"^alpha must be <= 9\.223372006484771e\+18 "):
+    # sample_poisson stops lower, at COUNT_RATE_MAX, so every count fits.
+    for rate in (np.nextafter(COUNT_RATE_MAX, np.inf), POISSON_RATE_MAX, np.inf):
+        with pytest.raises(BadBounds, match=r"^alpha must be <= 4503599627370496\.0 "):
             sample_poisson(np.array([[1.0, rate]]), mask, seed=0)
     # A rate off the mask is never drawn, so it is not checked.
     obs = sample_poisson(np.array([[1.0, np.inf]]), np.array([[True, False]]), seed=0)
     assert len(obs) == 1
+
+
+def test_counts_drawn_at_the_count_rate_cap_fit_an_observation_set():
+    # 2**53 is about 6.7e7 standard deviations above a rate of 2**52.
+    assert COUNT_RATE_MAX == 2.0**52
+    obs = sample_poisson(np.full((4, 8), COUNT_RATE_MAX), np.ones((4, 8), bool), seed=3)
+    assert len(obs) == 32 and obs.counts.max() < 2**53
